@@ -4,6 +4,12 @@
 
 namespace xfair {
 
+double FeatureRange(const FeatureSpec& spec) {
+  const double r = spec.upper - spec.lower;
+  if (r <= 0.0 || r > 1e29) return 1.0;
+  return r;
+}
+
 Schema::Schema(std::vector<FeatureSpec> features, int sensitive_index)
     : features_(std::move(features)), sensitive_index_(sensitive_index) {
   XFAIR_CHECK(sensitive_index_ >= -1 &&

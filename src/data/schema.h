@@ -40,6 +40,10 @@ struct FeatureSpec {
   double upper = 1e30;
 };
 
+/// upper - lower: the scale of range-normalized distances and action
+/// costs; 1 when the bounds are unset or degenerate.
+double FeatureRange(const FeatureSpec& spec);
+
 /// Ordered collection of FeatureSpecs plus the index of the sensitive
 /// (protected) attribute, if it is included as a column.
 class Schema {

@@ -12,13 +12,6 @@
 namespace xfair {
 namespace {
 
-/// Effective per-feature range used for normalization and step scaling.
-double FeatureRange(const FeatureSpec& spec) {
-  const double r = spec.upper - spec.lower;
-  if (r <= 0.0 || r > 1e29) return 1.0;
-  return r;
-}
-
 /// Per-feature ranges hoisted out of the per-candidate loops.
 Vector FeatureRanges(const Schema& schema) {
   Vector ranges(schema.num_features());

@@ -102,20 +102,6 @@ double HistogramQuantile(const HistogramSnapshot& h, double q) {
   return 0.0;
 }
 
-std::array<uint64_t, 65> LegacyPowerOfTwoBuckets(const HistogramSnapshot& h) {
-  std::array<uint64_t, 65> out{};
-  for (size_t b = 0; b < h.buckets.size(); ++b) {
-    if (h.buckets[b] == 0) continue;
-    const uint64_t low = Histogram::BucketLow(b);
-    // Every value in a log-linear bucket shares low's bit width (the
-    // bucket never straddles an octave edge), so the fold is exact.
-    const size_t w =
-        low == 0 ? 0 : static_cast<size_t>(64 - __builtin_clzll(low));
-    out[w] += h.buckets[b];
-  }
-  return out;
-}
-
 Counter& GetCounter(std::string_view name) {
   return CounterRegistry().GetOrCreate(name);
 }

@@ -169,12 +169,6 @@ struct HistogramSnapshot {
 /// an empty histogram; q is clamped to [0, 1].
 double HistogramQuantile(const HistogramSnapshot& h, double q);
 
-/// Deprecation shim for one PR (remove after PR 10 consumers migrate):
-/// folds the log-linear buckets into the pre-PR-10 65-bucket
-/// power-of-two layout, where bucket i counted values with bit width i.
-/// Exact — every log-linear bucket lies entirely inside one octave.
-std::array<uint64_t, 65> LegacyPowerOfTwoBuckets(const HistogramSnapshot& h);
-
 /// All registered counters, sorted by name (deterministic export order).
 std::vector<CounterSnapshot> SnapshotCounters();
 

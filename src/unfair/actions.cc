@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/kernels.h"
+#include "src/util/parallel.h"
 #include "src/util/table.h"
 
 namespace xfair {
-namespace {
-
-double FeatureRange(const FeatureSpec& spec) {
-  const double r = spec.upper - spec.lower;
-  if (r <= 0.0 || r > 1e29) return 1.0;
-  return r;
-}
-
-}  // namespace
 
 Discretizer::Discretizer(const Dataset& data, size_t bins) {
   XFAIR_CHECK(bins >= 2);
@@ -89,6 +82,16 @@ std::string Discretizer::BinLabel(const Schema& schema, size_t feature,
          FormatDouble(edges[bin], 2) + "]";
 }
 
+std::string Discretizer::Describe(const Schema& schema,
+                                  const Conditions& conditions) const {
+  std::string out;
+  for (size_t k = 0; k < conditions.size(); ++k) {
+    if (k > 0) out += " AND ";
+    out += BinLabel(schema, conditions[k].first, conditions[k].second);
+  }
+  return out;
+}
+
 bool Action::ApplicableTo(const Schema& schema, const Vector& x) const {
   XFAIR_CHECK(feature < x.size());
   return schema.MoveAllowed(feature, target_value - x[feature]);
@@ -152,17 +155,52 @@ std::vector<Action> EnumerateActions(const Schema& schema,
   return out;
 }
 
+ActionFlips ScoreActions(const Model& model, const Dataset& data,
+                         const std::vector<size_t>& rows,
+                         const std::vector<CompositeAction>& actions,
+                         int target_class) {
+  const size_t d = data.num_features();
+  const size_t tiles = (rows.size() + kActionTileRows - 1) / kActionTileRows;
+  ActionFlips out;
+  out.bits.assign(actions.size(),
+                  std::vector<uint64_t>((rows.size() + 63) / 64, 0));
+  std::vector<size_t> scored(actions.size() * tiles, 0);
+  ParallelFor(0, actions.size() * tiles, [&](size_t job) {
+    const CompositeAction& action = actions[job / tiles];
+    const size_t begin = (job % tiles) * kActionTileRows;
+    const size_t end = std::min(rows.size(), begin + kActionTileRows);
+    std::vector<size_t> at;  // Tile positions the action applies to.
+    Vector x, moved;         // moved: those rows with the action applied.
+    for (size_t k = begin; k < end; ++k) {
+      x.assign(data.x().RowPtr(rows[k]), data.x().RowPtr(rows[k]) + d);
+      if (!action.ApplicableTo(data.schema(), x)) continue;
+      for (const Action& a : action.actions) x[a.feature] = a.target_value;
+      moved.insert(moved.end(), x.begin(), x.end());
+      at.push_back(k);
+    }
+    if (at.empty()) return;
+    Matrix tile(at.size(), d);
+    std::copy(moved.begin(), moved.end(), tile.RowPtr(0));
+    const std::vector<int> predicted = model.PredictBatch(tile);
+    uint64_t* bits = out.bits[job / tiles].data();
+    for (size_t m = 0; m < at.size(); ++m) {
+      if (predicted[m] == target_class)
+        bits[at[m] >> 6] |= uint64_t{1} << (at[m] & 63);
+    }
+    scored[job] = at.size();
+  });
+  for (size_t s : scored) out.rows_scored += s;
+  return out;
+}
+
 double ActionEffectiveness(const Model& model, const Dataset& data,
                            const std::vector<size_t>& instances,
                            const CompositeAction& action, int target_class) {
   if (instances.empty()) return 0.0;
-  size_t flipped = 0;
-  for (size_t i : instances) {
-    const Vector x = data.instance(i);
-    if (!action.ApplicableTo(data.schema(), x)) continue;
-    if (model.Predict(action.ApplyTo(x)) == target_class) ++flipped;
-  }
-  return static_cast<double>(flipped) /
+  const std::vector<uint64_t> flipped =
+      ScoreActions(model, data, instances, {action}, target_class).bits[0];
+  return static_cast<double>(
+             kernels::PopcountU64(flipped.data(), flipped.size())) /
          static_cast<double>(instances.size());
 }
 

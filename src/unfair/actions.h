@@ -6,11 +6,15 @@
 #ifndef XFAIR_UNFAIR_ACTIONS_H_
 #define XFAIR_UNFAIR_ACTIONS_H_
 
+#include <cstdint>
 #include <string>
 
 #include "src/model/model.h"
 
 namespace xfair {
+
+/// A conjunction of (feature, bin) conditions.
+using Conditions = std::vector<std::pair<size_t, size_t>>;
 
 /// Quantile-based per-feature binning learned from a dataset.
 class Discretizer {
@@ -29,6 +33,9 @@ class Discretizer {
   /// Human-readable bin description, e.g. "income in [3.1, 5.2)".
   std::string BinLabel(const Schema& schema, size_t feature,
                        size_t bin) const;
+  /// The conditions' bin labels joined by " AND ".
+  std::string Describe(const Schema& schema,
+                       const Conditions& conditions) const;
 
  private:
   // edges_[f] = sorted inner edges; bin i is (edge[i-1], edge[i]].
@@ -67,8 +74,29 @@ struct CompositeAction {
 std::vector<Action> EnumerateActions(const Schema& schema,
                                      const Discretizer& disc);
 
+/// Rows per PredictBatch tile in ScoreActions; a multiple of 64, so each
+/// tile owns whole words of the flip bitvectors.
+inline constexpr size_t kActionTileRows = 1024;
+
+/// Which listed rows each action turns to the target class.
+struct ActionFlips {
+  /// bits[a]: bit k of word k/64 is set iff actions[a] applies to rows[k]
+  /// and the model then predicts the target class. Padding bits are 0.
+  std::vector<std::vector<uint64_t>> bits;
+  size_t rows_scored = 0;  ///< Applicable rows sent to PredictBatch.
+};
+
+/// Applies each action to the rows it applies to and scores them in
+/// PredictBatch tiles. Every (action, tile) pair writes its own words, so
+/// the bits are thread-count invariant.
+ActionFlips ScoreActions(const Model& model, const Dataset& data,
+                         const std::vector<size_t>& rows,
+                         const std::vector<CompositeAction>& actions,
+                         int target_class);
+
 /// eff(a, G): fraction of the given instances that are applicable and
-/// whose prediction flips to `target_class` under the action.
+/// whose prediction flips to `target_class` under the action (the
+/// popcount of ScoreActions over them).
 double ActionEffectiveness(const Model& model, const Dataset& data,
                            const std::vector<size_t>& instances,
                            const CompositeAction& action, int target_class);

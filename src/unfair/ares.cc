@@ -32,7 +32,6 @@ AresReport BuildRecourseSet(const Model& model, const Dataset& data,
 
   // Outer descriptors: bins of immutable features (always including the
   // trivial "everyone" descriptor).
-  using Conditions = std::vector<std::pair<size_t, size_t>>;
   std::vector<Conditions> descriptors = {{}};
   for (size_t f = 0; f < data.num_features(); ++f) {
     if (schema.feature(f).actionability != Actionability::kImmutable)
@@ -101,14 +100,10 @@ AresReport BuildRecourseSet(const Model& model, const Dataset& data,
     Candidate chosen = std::move(candidates[best]);
     candidates.erase(candidates.begin() + static_cast<long>(best));
     for (size_t i : chosen.flipped) covered[i] = true;
-    // Render the description.
-    std::string desc = "IF ";
-    for (const auto& [df, db] : chosen.rule.subgroup)
-      desc += disc.BinLabel(schema, df, db) + " AND ";
-    desc += disc.BinLabel(schema, chosen.rule.inner_condition.first,
-                          chosen.rule.inner_condition.second);
-    desc += " THEN " + chosen.rule.action.ToString(schema);
-    chosen.rule.description = std::move(desc);
+    Conditions conditions = chosen.rule.subgroup;
+    conditions.push_back(chosen.rule.inner_condition);
+    chosen.rule.description = "IF " + disc.Describe(schema, conditions) +
+                              " THEN " + chosen.rule.action.ToString(schema);
     report.rules.push_back(std::move(chosen.rule));
   }
 

@@ -2,47 +2,38 @@
 
 #include <algorithm>
 
+#include "src/obs/obs.h"
+#include "src/unfair/slice_search.h"
+#include "src/util/kernels.h"
+
 namespace xfair {
 namespace {
 
-/// Indices of affected instances matching every (feature, bin) condition.
-std::vector<size_t> MatchSubgroup(
-    const Dataset& data, const Discretizer& disc,
-    const std::vector<size_t>& affected,
-    const std::vector<std::pair<size_t, size_t>>& conditions, int group) {
-  std::vector<size_t> out;
-  for (size_t i : affected) {
-    if (data.group(i) != group) continue;
-    bool match = true;
-    for (const auto& [f, b] : conditions) {
-      if (disc.BinOf(f, data.x().At(i, f)) != b) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.push_back(i);
-  }
-  return out;
-}
-
-/// Audits one subgroup: effectiveness of every candidate action per side.
-void Audit(const Model& model, const Dataset& data,
-           const std::vector<Action>& candidates, FactsSubgroup* sg,
-           const std::vector<size_t>& members_p,
-           const std::vector<size_t>& members_np, double phi) {
-  for (const Action& a : candidates) {
-    const CompositeAction ca{{a}};
+/// Audits one subgroup whose per-side member counts are set. An action's
+/// effectiveness on a side is its flips among the side's members over the
+/// member count (0 for an empty side), as in ActionEffectiveness.
+void Audit(const std::vector<CompositeAction>& actions,
+           const ActionFlips& flips, const uint64_t* members_p,
+           const uint64_t* members_np, double phi, FactsSubgroup* sg) {
+  const auto effectiveness = [](const std::vector<uint64_t>& flipped,
+                                const uint64_t* members, size_t count) {
+    if (count == 0) return 0.0;
+    return static_cast<double>(kernels::AndPopcountU64(
+               flipped.data(), members, flipped.size())) /
+           static_cast<double>(count);
+  };
+  for (size_t a = 0; a < actions.size(); ++a) {
     const double eff_p =
-        ActionEffectiveness(model, data, members_p, ca, 1);
-    const double eff_np =
-        ActionEffectiveness(model, data, members_np, ca, 1);
+        effectiveness(flips.bits[a], members_p, sg->affected_protected);
+    const double eff_np = effectiveness(flips.bits[a], members_np,
+                                        sg->affected_non_protected);
     if (eff_p > sg->best_effectiveness_protected) {
       sg->best_effectiveness_protected = eff_p;
-      sg->best_action_protected = ca;
+      sg->best_action_protected = actions[a];
     }
     if (eff_np > sg->best_effectiveness_non_protected) {
       sg->best_effectiveness_non_protected = eff_np;
-      sg->best_action_non_protected = ca;
+      sg->best_action_non_protected = actions[a];
     }
     sg->unfairness = std::max(sg->unfairness, eff_np - eff_p);
     if (eff_p >= phi) ++sg->choices_protected;
@@ -54,114 +45,92 @@ void Audit(const Model& model, const Dataset& data,
 
 FactsReport RunFacts(const Model& model, const Dataset& data,
                      const FactsOptions& options) {
+  XFAIR_SPAN("facts/run");
+  XFAIR_LATENCY_NS("latency/facts_ns");
   FactsReport report;
   // Affected population: everyone the classifier denies.
+  const std::vector<int> decisions = model.PredictBatch(data.x());
+  XFAIR_COUNTER_ADD("facts/rows_scored", data.size());
   std::vector<size_t> affected;
   for (size_t i = 0; i < data.size(); ++i)
-    if (model.Predict(data.instance(i)) == 0) affected.push_back(i);
+    if (decisions[i] == 0) affected.push_back(i);
   if (affected.empty()) return report;
 
+  // One flip bitvector per candidate action over the affected rows.
   Discretizer disc(data, options.bins);
-  const std::vector<Action> candidates =
-      EnumerateActions(data.schema(), disc);
-  const size_t min_count = static_cast<size_t>(
-      options.min_support * static_cast<double>(affected.size()));
+  std::vector<CompositeAction> actions;
+  for (const Action& a : EnumerateActions(data.schema(), disc))
+    actions.push_back({{a}});
+  const ActionFlips flips = [&] {
+    XFAIR_SPAN("facts/score_actions");
+    return ScoreActions(model, data, affected, actions, 1);
+  }();
+  XFAIR_COUNTER_ADD("facts/rows_scored", flips.rows_scored);
 
-  // Frequent single conditions over the affected population.
-  using Conditions = std::vector<std::pair<size_t, size_t>>;
-  std::vector<Conditions> frontier;
-  const int sens = data.schema().sensitive_index();
-  for (size_t f = 0; f < data.num_features(); ++f) {
-    // The sensitive column itself would make degenerate single-group
-    // subgroups; skip it as a descriptor.
-    if (static_cast<int>(f) == sens) continue;
-    for (size_t b = 0; b < disc.NumBins(f); ++b) {
-      size_t support = 0;
-      for (size_t i : affected)
-        support +=
-            static_cast<size_t>(disc.BinOf(f, data.x().At(i, f)) == b);
-      if (support >= std::max<size_t>(min_count, 1)) {
-        frontier.push_back({{f, b}});
-      }
-    }
+  // Side membership over the affected rows (bit k = affected[k]).
+  const size_t words = (affected.size() + 63) / 64;
+  std::vector<uint64_t> side_p(words, 0), side_np(words, 0);
+  for (size_t k = 0; k < affected.size(); ++k) {
+    (data.group(affected[k]) == 1 ? side_p : side_np)[k >> 6] |=
+        uint64_t{1} << (k & 63);
   }
 
-  // Apriori-style extension to pairs (and beyond if configured).
-  std::vector<Conditions> all_subgroups = frontier;
-  std::vector<Conditions> current = frontier;
-  for (size_t depth = 2; depth <= options.max_itemset; ++depth) {
-    std::vector<Conditions> next;
-    for (const auto& base : current) {
-      for (const auto& ext : frontier) {
-        const auto& [f, b] = ext[0];
-        if (f <= base.back().first) continue;  // Canonical order.
-        Conditions cand = base;
-        cand.push_back({f, b});
-        size_t support = 0;
-        for (size_t i : affected) {
-          bool match = true;
-          for (const auto& [cf, cb] : cand) {
-            if (disc.BinOf(cf, data.x().At(i, cf)) != cb) {
-              match = false;
-              break;
-            }
-          }
-          support += static_cast<size_t>(match);
-        }
-        if (support >= std::max<size_t>(min_count, 1)) {
-          next.push_back(std::move(cand));
-        }
-      }
-    }
-    all_subgroups.insert(all_subgroups.end(), next.begin(), next.end());
-    current = std::move(next);
-  }
-
-  // Audit every frequent subgroup that has members on both sides.
+  // Subgroups: frequent conjunctions of (feature, bin) conditions over
+  // the affected rows, in canonical lattice order. The sensitive column
+  // is not indexed (it would make single-group subgroups); with no other
+  // column nothing is (an empty column list means every column).
+  std::vector<size_t> columns;
+  for (size_t f = 0; f < data.num_features(); ++f)
+    if (static_cast<int>(f) != data.schema().sensitive_index())
+      columns.push_back(f);
+  const size_t min_count = std::max<size_t>(
+      1, static_cast<size_t>(options.min_support * affected.size()));
   std::vector<FactsSubgroup> audited;
-  for (const auto& conditions : all_subgroups) {
-    const auto members_p =
-        MatchSubgroup(data, disc, affected, conditions, 1);
-    const auto members_np =
-        MatchSubgroup(data, disc, affected, conditions, 0);
-    if (members_p.size() < options.min_group_members ||
-        members_np.size() < options.min_group_members) {
-      continue;
-    }
-    FactsSubgroup sg;
-    sg.conditions = conditions;
-    for (size_t k = 0; k < conditions.size(); ++k) {
-      if (k > 0) sg.description += " AND ";
-      sg.description += disc.BinLabel(data.schema(), conditions[k].first,
-                                      conditions[k].second);
-    }
-    sg.affected_protected = members_p.size();
-    sg.affected_non_protected = members_np.size();
-    Audit(model, data, candidates, &sg, members_p, members_np, options.phi);
-    audited.push_back(std::move(sg));
+  if (!columns.empty()) {
+    const SliceExtentIndex index(disc, data.Subset(affected), columns);
+    LatticeWalk(
+        index, min_count, std::max<size_t>(options.max_itemset, 1),
+        [](size_t) {}, [](size_t, const LatticeNode&) {},
+        [&](size_t, const LatticeNode& node) {
+          if (node.support < min_count) return true;
+          FactsSubgroup sg;
+          std::vector<uint64_t> members_p(words), members_np(words);
+          sg.affected_protected = kernels::AndPopcountU64(
+              node.extent, side_p.data(), members_p.data(), words);
+          sg.affected_non_protected = kernels::AndPopcountU64(
+              node.extent, side_np.data(), members_np.data(), words);
+          if (sg.affected_protected >= options.min_group_members &&
+              sg.affected_non_protected >= options.min_group_members) {
+            for (size_t k = 0; k < node.depth; ++k)
+              sg.conditions.push_back(index.condition(node.sids[k]));
+            sg.description = disc.Describe(data.schema(), sg.conditions);
+            Audit(actions, flips, members_p.data(), members_np.data(),
+                  options.phi, &sg);
+            audited.push_back(std::move(sg));
+          }
+          return true;
+        });
   }
   report.subgroups_examined = audited.size();
 
   // Classifier-level fairness of recourse on the trivial subgroup.
-  {
-    FactsSubgroup everyone;
-    std::vector<size_t> all_p, all_np;
-    for (size_t i : affected)
-      (data.group(i) == 1 ? all_p : all_np).push_back(i);
-    Audit(model, data, candidates, &everyone, all_p, all_np, options.phi);
-    report.overall_best_effectiveness_protected =
-        everyone.best_effectiveness_protected;
-    report.overall_best_effectiveness_non_protected =
-        everyone.best_effectiveness_non_protected;
-    report.overall_effectiveness_gap =
-        everyone.best_effectiveness_non_protected -
-        everyone.best_effectiveness_protected;
-    report.overall_choices_protected = everyone.choices_protected;
-    report.overall_choices_non_protected = everyone.choices_non_protected;
-    report.overall_choice_gap =
-        static_cast<double>(everyone.choices_non_protected) -
-        static_cast<double>(everyone.choices_protected);
-  }
+  FactsSubgroup everyone;
+  everyone.affected_protected = kernels::PopcountU64(side_p.data(), words);
+  everyone.affected_non_protected =
+      affected.size() - everyone.affected_protected;
+  Audit(actions, flips, side_p.data(), side_np.data(), options.phi,
+        &everyone);
+  report.overall_best_effectiveness_protected =
+      everyone.best_effectiveness_protected;
+  report.overall_best_effectiveness_non_protected =
+      everyone.best_effectiveness_non_protected;
+  report.overall_effectiveness_gap = everyone.best_effectiveness_non_protected -
+                                     everyone.best_effectiveness_protected;
+  report.overall_choices_protected = everyone.choices_protected;
+  report.overall_choices_non_protected = everyone.choices_non_protected;
+  report.overall_choice_gap =
+      static_cast<double>(everyone.choices_non_protected) -
+      static_cast<double>(everyone.choices_protected);
 
   std::sort(audited.begin(), audited.end(),
             [](const FactsSubgroup& a, const FactsSubgroup& b) {

@@ -20,7 +20,7 @@ namespace xfair {
 /// One subgroup's recourse-bias audit.
 struct FactsSubgroup {
   /// Conjunction of (feature, bin) conditions defining the subgroup.
-  std::vector<std::pair<size_t, size_t>> conditions;
+  Conditions conditions;
   std::string description;
   size_t affected_protected = 0;      ///< Affected members in G+.
   size_t affected_non_protected = 0;  ///< Affected members in G-.

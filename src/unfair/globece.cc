@@ -7,12 +7,6 @@
 namespace xfair {
 namespace {
 
-double FeatureRange(const FeatureSpec& spec) {
-  const double r = spec.upper - spec.lower;
-  if (r <= 0.0 || r > 1e29) return 1.0;
-  return r;
-}
-
 /// Applies x + scale * direction (direction lives in range-normalized
 /// space), then clamps to actionability and bounds.
 Vector Translate(const Schema& schema, const Vector& x,

@@ -15,8 +15,6 @@
 namespace xfair {
 namespace {
 
-using Conditions = std::vector<std::pair<size_t, size_t>>;
-
 /// Instance-major table of discretized bins, computed once so the apriori
 /// scan does array compares instead of re-binning every (row, condition)
 /// pair.
@@ -46,16 +44,6 @@ class BinTable {
   std::vector<uint16_t> bins_;
 };
 
-std::string Describe(const Discretizer& disc, const Schema& schema,
-                     const Conditions& conditions) {
-  std::string out;
-  for (size_t k = 0; k < conditions.size(); ++k) {
-    if (k > 0) out += " AND ";
-    out += disc.BinLabel(schema, conditions[k].first, conditions[k].second);
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<GopherReport> ExplainUnfairnessByPatterns(
@@ -84,7 +72,7 @@ Result<GopherReport> ExplainUnfairnessByPatterns(
                            double estimate) {
     GopherPattern p;
     p.conditions = cand;
-    p.description = Describe(disc, train.schema(), cand);
+    p.description = disc.Describe(train.schema(), cand);
     p.support = support;
     p.estimated_gap_change = estimate;
     p.interestingness = std::fabs(estimate) / static_cast<double>(support);

@@ -12,18 +12,6 @@
 namespace xfair {
 namespace {
 
-using Conditions = std::vector<std::pair<size_t, size_t>>;
-
-std::string DescribeSlice(const Discretizer& disc, const Schema& schema,
-                          const Conditions& conditions) {
-  std::string out;
-  for (size_t k = 0; k < conditions.size(); ++k) {
-    if (k > 0) out += " AND ";
-    out += disc.BinLabel(schema, conditions[k].first, conditions[k].second);
-  }
-  return out;
-}
-
 /// Per-row numerator/denominator indicators for a slice metric: the
 /// slice's metric is |extent ∩ hit| / |extent ∩ relevant|. Shared by
 /// the bitvector engine and the looped oracle so both count the exact
@@ -361,7 +349,7 @@ WorstSliceReport WorstSliceSearch(const Model& model, const Dataset& data,
   report.slices.reserve(qualifying.size());
   for (auto& q : qualifying) {
     SliceStat s;
-    s.description = DescribeSlice(disc, data.schema(), q.conditions);
+    s.description = disc.Describe(data.schema(), q.conditions);
     s.conditions = std::move(q.conditions);
     s.support = q.support;
     s.relevant = q.relevant;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -18,6 +17,7 @@
 #include "src/model/logistic_regression.h"
 #include "src/obs/obs.h"
 #include "src/obs/run_report.h"
+#include "src/unfair/facts.h"
 #include "src/unfair/fairness_shap.h"
 #include "src/util/parallel.h"
 
@@ -105,7 +105,7 @@ TEST(Histograms, LogLinearBucketMath) {
   }
 }
 
-TEST(Histograms, LogLinearObserveAndLegacyShim) {
+TEST(Histograms, LogLinearObserve) {
   obs::Histogram& h = GetHistogram("obs_test/hist");
   h.Reset();
   h.Observe(0);
@@ -124,21 +124,6 @@ TEST(Histograms, LogLinearObserveAndLegacyShim) {
   EXPECT_EQ(buckets[8], 1u);
   EXPECT_EQ(buckets[2], 0u);
   EXPECT_EQ(buckets[obs::Histogram::BucketIndex(200)], 1u);
-
-  // The deprecation shim folds back to the pre-PR-10 power-of-two
-  // layout: bucket i counted values of bit width i.
-  for (const auto& s : obs::SnapshotHistograms()) {
-    if (s.name != "obs_test/hist") continue;
-    const std::array<uint64_t, 65> legacy = obs::LegacyPowerOfTwoBuckets(s);
-    EXPECT_EQ(legacy[0], 1u);  // 0
-    EXPECT_EQ(legacy[1], 1u);  // 1
-    EXPECT_EQ(legacy[3], 1u);  // 7
-    EXPECT_EQ(legacy[4], 1u);  // 8
-    EXPECT_EQ(legacy[8], 1u);  // 200 has bit width 8
-    uint64_t total = 0;
-    for (uint64_t c : legacy) total += c;
-    EXPECT_EQ(total, s.count);
-  }
 }
 
 TEST(Histograms, QuantilesExactBelow128AndInterpolatedAbove) {
@@ -301,6 +286,54 @@ TEST(Tracer, InstrumentedLibraryEmitsSpansWhenEnabled) {
   EXPECT_TRUE(spans.empty());
 #else
   EXPECT_TRUE(saw_fit);
+#endif
+}
+
+TEST(Tracer, RunFactsRecordsSpansLatencyAndRowsScored) {
+  TracingGuard guard;
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  const Dataset data = CreditGen(cfg).Generate(300, 78);
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(data).ok());
+  obs::Counter& rows = GetCounter("facts/rows_scored");
+  obs::Histogram& latency = GetHistogram("latency/facts_ns");
+  const uint64_t rows_before = rows.value();
+  const uint64_t runs_before = latency.count();
+  SetTracingEnabled(true);
+  RunFacts(model, data, {});
+  SetTracingEnabled(false);
+  const auto spans = FlushSpans();
+  const SpanRecord* run = nullptr;
+  const SpanRecord* score = nullptr;
+  for (const auto& s : spans) {
+    if (std::string_view(s.name) == "facts/run") run = &s;
+    if (std::string_view(s.name) == "facts/score_actions") score = &s;
+  }
+#ifdef XFAIR_OBS_DISABLED
+  EXPECT_TRUE(spans.empty());
+  EXPECT_EQ(run, nullptr);
+  EXPECT_EQ(score, nullptr);
+  EXPECT_EQ(rows.value(), rows_before);
+  EXPECT_EQ(latency.count(), runs_before);
+#else
+  ASSERT_NE(run, nullptr);
+  ASSERT_NE(score, nullptr);
+  EXPECT_EQ(score->thread_ordinal, run->thread_ordinal);
+  EXPECT_EQ(score->parent_id, run->id);
+  EXPECT_EQ(latency.count(), runs_before + 1);
+  // The denial pass over every row, then each applicable (action,
+  // denied row) pair once.
+  uint64_t expected = data.size();
+  const std::vector<int> decisions = model.PredictAll(data);
+  const Discretizer disc(data, FactsOptions{}.bins);
+  for (const Action& a : EnumerateActions(data.schema(), disc)) {
+    for (size_t i = 0; i < data.size(); ++i) {
+      expected += decisions[i] == 0 &&
+                  a.ApplicableTo(data.schema(), data.instance(i));
+    }
+  }
+  EXPECT_EQ(rows.value() - rows_before, expected);
 #endif
 }
 

@@ -1,7 +1,7 @@
 // Tests for the deterministic parallel runtime (src/util/parallel.h) and
 // the guarantees built on it: exactly-once loop coverage, bit-for-bit
-// reductions, thread-count-independent Shapley / Gopher / forest /
-// counterfactual results, and batched inference consistency.
+// reductions, thread-count-independent Shapley / Gopher / FACTS /
+// forest / counterfactual results, and batched inference consistency.
 
 #include "src/util/parallel.h"
 
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +20,8 @@
 #include "src/explain/counterfactual.h"
 #include "src/explain/shap.h"
 #include "src/explain/tree_shap.h"
+#include "src/mitigate/postprocess.h"
+#include "src/model/calibration.h"
 #include "src/model/decision_tree.h"
 #include "src/model/gbm.h"
 #include "src/model/knn.h"
@@ -26,11 +29,13 @@
 #include "src/model/random_forest.h"
 #include "src/model/softmax_regression.h"
 #include "src/obs/obs.h"
+#include "src/unfair/facts.h"
 #include "src/unfair/fairness_shap.h"
 #include "src/unfair/gopher.h"
 #include "src/unfair/slice_search.h"
 #include "src/util/kdtree.h"
 #include "src/util/rng.h"
+#include "tests/facts_testing.h"
 
 namespace xfair {
 namespace {
@@ -309,6 +314,29 @@ TEST(ParallelUnfair, WorstSliceSearchIsThreadCountInvariant) {
             EXPECT_EQ(a.slices[i].relevant, b.slices[i].relevant);
             EXPECT_EQ(a.slices[i].metric_value, b.slices[i].metric_value);
           }
+        });
+  }
+}
+
+TEST(ParallelUnfair, FactsIsThreadCountInvariant) {
+  // Over a thousand denied rows: the (action, tile) scoring jobs and the
+  // model's own batch loops spread over the pool.
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  const Dataset data = CreditGen(cfg).Generate(2500, 513);
+  LogisticRegression lr;
+  ASSERT_TRUE(lr.Fit(data).ok());
+  GradientBoostedTrees gbm;
+  GbmOptions gbm_opts;
+  gbm_opts.num_rounds = 20;
+  ASSERT_TRUE(gbm.Fit(data, gbm_opts).ok());
+  FactsOptions opts;
+  opts.max_itemset = 3;
+  for (const Model* model : std::initializer_list<const Model*>{&lr, &gbm}) {
+    ExpectSameAcrossThreadCounts<FactsReport>(
+        [&] { return RunFacts(*model, data, opts); },
+        [&](const FactsReport& a, const FactsReport& b) {
+          ExpectSameFacts(a, b, data.schema());
         });
   }
 }
@@ -693,6 +721,27 @@ TEST_F(BatchConsistencyTest, GradientBoostedTrees) {
 
 TEST_F(BatchConsistencyTest, Knn) {
   KnnClassifier model(5);
+  ASSERT_TRUE(model.Fit(data_).ok());
+  ExpectBatchMatchesRows(model);
+}
+
+TEST_F(BatchConsistencyTest, GroupThresholdModel) {
+  // Per-group thresholds: the one Predict rule a score threshold cannot
+  // express, so PredictBatch must override it identically.
+  LogisticRegression base;
+  ASSERT_TRUE(base.Fit(data_).ok());
+  const int sens = data_.schema().sensitive_index();
+  ASSERT_GE(sens, 0);
+  GroupThresholdModel model(&base, static_cast<size_t>(sens), 0.35, 0.65);
+  ExpectBatchMatchesRows(model);
+}
+
+TEST_F(BatchConsistencyTest, PlattCalibrator) {
+  GradientBoostedTrees base;
+  GbmOptions opts;
+  opts.num_rounds = 20;
+  ASSERT_TRUE(base.Fit(data_, opts).ok());
+  PlattCalibrator model(&base);
   ASSERT_TRUE(model.Fit(data_).ok());
   ExpectBatchMatchesRows(model);
 }
