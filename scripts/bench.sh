@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES=(bench_kernels bench_fairness_shap bench_gopher)
+BENCHES=(bench_kernels bench_fairness_shap bench_gopher bench_tree_fit)
 
 echo "== configure + build (Release) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null

@@ -4,6 +4,7 @@
 
 #include "src/fairness/group_metrics.h"
 #include "src/fairness/tradeoff.h"
+#include "src/obs/obs.h"
 #include "src/unfair/burden.h"
 #include "src/unfair/facts.h"
 #include "src/unfair/fairness_shap.h"
@@ -13,6 +14,7 @@ namespace xfair {
 
 std::string WriteAuditReport(const Model& model, const Dataset& data,
                              const AuditReportOptions& options) {
+  XFAIR_SPAN("report/audit");
   std::string out = "# xfair audit report\n\n";
   out += "Model: " + model.name() + "; instances: " +
          std::to_string(data.size()) + "; protected share: " +

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/obs/obs.h"
 #include "src/util/table.h"
 
 namespace xfair {
@@ -86,6 +87,7 @@ double CalibrationGap(const Model& model, const Dataset& data, size_t bins) {
 
 GroupFairnessReport EvaluateGroupFairness(const Model& model,
                                           const Dataset& data) {
+  XFAIR_SPAN("fairness/group_metrics");
   GroupFairnessReport r;
   r.protected_group = GroupConfusion(model, data, 1);
   r.non_protected_group = GroupConfusion(model, data, 0);

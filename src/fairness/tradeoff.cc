@@ -5,6 +5,7 @@
 
 #include "src/explain/surrogate.h"
 #include "src/fairness/group_metrics.h"
+#include "src/obs/obs.h"
 
 namespace xfair {
 
@@ -12,6 +13,7 @@ TradeoffScore EvaluateTradeoff(const Model& model, const Dataset& data,
                                const TradeoffWeights& weights) {
   XFAIR_CHECK(weights.utility >= 0.0 && weights.fairness >= 0.0 &&
               weights.explainability >= 0.0);
+  XFAIR_SPAN("fairness/tradeoff");
   TradeoffScore score;
   score.utility = Accuracy(model, data);
   score.fairness = std::max(

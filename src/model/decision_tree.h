@@ -60,10 +60,6 @@ class DecisionTree final : public Model {
   double PredictProbaRow(const double* row, size_t dim) const;
 
  private:
-  int Build(const Dataset& data, const Vector& weights,
-            std::vector<size_t>& indices, size_t depth,
-            const DecisionTreeOptions& options, Rng* rng);
-
   std::vector<TreeNode> nodes_;
   FlatTree flat_;
   uint64_t fit_id_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/model/presort.h"
 #include "src/obs/obs.h"
 #include "src/util/parallel.h"
 
@@ -15,29 +16,31 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-/// Builds one variance-reduction regression tree on `targets` and returns
-/// its node array. Leaf values use the Newton step for logistic loss:
-/// sum(residual) / sum(p(1-p)).
+/// Builds one variance-reduction regression tree on the residuals over a
+/// presorted layout and returns its node array. Leaf values use the Newton
+/// step for logistic loss: sum(residual) / sum(p(1-p)).
 struct TreeBuilder {
-  const Dataset& data;
+  Presort& layout;
   const Vector& residuals;  // y - p per instance.
   const Vector& hessians;   // p (1 - p) per instance.
   const GbmOptions& options;
   std::vector<GbmNode> nodes;
 
-  int Build(std::vector<size_t>& indices, size_t depth) {
+  /// Builds the node that owns [begin, end) of every layout list.
+  int Build(size_t begin, size_t end, size_t depth) {
     const int id = static_cast<int>(nodes.size());
     nodes.emplace_back();
     double grad_sum = 0.0, hess_sum = 0.0;
-    for (size_t i : indices) {
-      grad_sum += residuals[i];
-      hess_sum += hessians[i];
+    const uint32_t* rows = layout.rows();
+    for (size_t k = begin; k < end; ++k) {
+      grad_sum += residuals[rows[k]];
+      hess_sum += hessians[rows[k]];
     }
+    const size_t count = end - begin;
     nodes[id].value = grad_sum / std::max(hess_sum, 1e-12);
-    nodes[id].cover = static_cast<double>(indices.size());
+    nodes[id].cover = static_cast<double>(count);
 
-    if (depth >= options.max_depth ||
-        indices.size() < 2 * options.min_samples_leaf) {
+    if (depth >= options.max_depth || count < 2 * options.min_samples_leaf) {
       return id;
     }
 
@@ -45,22 +48,20 @@ struct TreeBuilder {
     double best_gain = 1e-12;
     int best_feature = -1;
     double best_threshold = 0.0;
-    std::vector<std::pair<double, size_t>> order;
-    order.reserve(indices.size());
     const double total_sum = grad_sum;
-    const double total_n = static_cast<double>(indices.size());
-    for (size_t f = 0; f < data.num_features(); ++f) {
-      order.clear();
-      for (size_t i : indices) order.emplace_back(data.x().At(i, f), i);
-      std::sort(order.begin(), order.end());
+    const double total_n = static_cast<double>(count);
+    for (size_t f = 0; f < layout.num_features(); ++f) {
+      const uint32_t* order = layout.sorted(f) + begin;
       double left_sum = 0.0;
       size_t left_n = 0;
-      for (size_t k = 0; k + 1 < order.size(); ++k) {
-        left_sum += residuals[order[k].second];
+      for (size_t k = 0; k + 1 < count; ++k) {
+        left_sum += residuals[order[k]];
         ++left_n;
-        if (order[k].first == order[k + 1].first) continue;
+        const double value = layout.value(order[k], f);
+        const double next = layout.value(order[k + 1], f);
+        if (value == next) continue;
         if (left_n < options.min_samples_leaf ||
-            order.size() - left_n < options.min_samples_leaf) {
+            count - left_n < options.min_samples_leaf) {
           continue;
         }
         const double right_sum = total_sum - left_sum;
@@ -72,25 +73,20 @@ struct TreeBuilder {
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (order[k].first + order[k + 1].first);
+          best_threshold = 0.5 * (value + next);
         }
       }
     }
     if (best_feature < 0) return id;
 
-    std::vector<size_t> left_idx, right_idx;
-    for (size_t i : indices) {
-      (data.x().At(i, static_cast<size_t>(best_feature)) <= best_threshold
-           ? left_idx
-           : right_idx)
-          .push_back(i);
-    }
-    if (left_idx.empty() || right_idx.empty()) return id;
+    const size_t mid = layout.Partition(
+        begin, end, static_cast<size_t>(best_feature), best_threshold);
+    if (mid == begin || mid == end) return id;
     nodes[id].feature = best_feature;
     nodes[id].threshold = best_threshold;
-    const int l = Build(left_idx, depth + 1);
+    const int l = Build(begin, mid, depth + 1);
     nodes[id].left = l;
-    const int r = Build(right_idx, depth + 1);
+    const int r = Build(mid, end, depth + 1);
     nodes[id].right = r;
     return id;
   }
@@ -118,6 +114,12 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
   if (options.num_rounds == 0) {
     return Status::InvalidArgument("num_rounds must be positive");
   }
+  // X never changes during a fit, so every round's tree starts from the
+  // same presorted lists; only the residuals change.
+  std::vector<uint32_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
+  Result<Presort> layout = Presort::Make(data.x(), std::move(all));
+  if (!layout.ok()) return layout.status();
   learning_rate_ = options.learning_rate;
   trees_.clear();
 
@@ -129,8 +131,6 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
   bias_ = std::log(rate / (1.0 - rate));
 
   Vector margins(n, bias_), residuals(n), hessians(n);
-  std::vector<size_t> all(n);
-  for (size_t i = 0; i < n; ++i) all[i] = i;
 
   for (size_t round = 0; round < options.num_rounds; ++round) {
     for (size_t i = 0; i < n; ++i) {
@@ -138,9 +138,9 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
       residuals[i] = static_cast<double>(data.label(i)) - p;
       hessians[i] = std::max(p * (1.0 - p), 1e-6);
     }
-    TreeBuilder builder{data, residuals, hessians, options, {}};
-    std::vector<size_t> indices = all;
-    builder.Build(indices, 0);
+    layout->Reset();
+    TreeBuilder builder{*layout, residuals, hessians, options, {}};
+    builder.Build(0, n, 0);
     for (size_t i = 0; i < n; ++i) {
       margins[i] +=
           learning_rate_ * TreeValue(builder.nodes, data.x().RowPtr(i));

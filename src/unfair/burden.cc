@@ -1,5 +1,7 @@
 #include "src/unfair/burden.h"
 
+#include "src/obs/obs.h"
+
 namespace xfair {
 namespace {
 
@@ -16,6 +18,8 @@ BurdenReport ComputeBurden(const Model& model, const Dataset& data,
                            BurdenScope scope,
                            const CounterfactualConfig& config, Rng* rng) {
   XFAIR_CHECK(rng != nullptr);
+  XFAIR_SPAN("burden/run");
+  XFAIR_LATENCY_NS("latency/burden_ns");
   BurdenReport report;
   double sum[2] = {0.0, 0.0};
   size_t count[2] = {0, 0};

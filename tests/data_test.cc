@@ -277,6 +277,39 @@ void WriteFile(const std::string& path, const char* contents) {
 
 }  // namespace
 
+// Cells that are not finite doubles fail in both readers, and the message
+// names the line and the column (ParseDouble accepts neither nan nor inf).
+TEST(Csv, NonFiniteCellsFailNamingLineAndColumn) {
+  const std::string path = "/tmp/xfair_csv_nonfinite.csv";
+  struct Case {
+    std::string row;
+    std::string column;
+    std::string text;
+  };
+  const std::vector<Case> cases = {
+      {"0,1,nan,0,1", "column 'b'", "non-finite value 'nan'"},
+      {"0,inf,1,0,1", "column 'a'", "non-finite value 'inf'"},
+      {"0,1,-inf,0,1", "column 'b'", "non-finite value '-inf'"},
+      {"0,1,2,nan,1", "column 'label'", "non-finite value 'nan'"},
+      {"0,1,notanumber,0,1", "column 'b'", "cannot parse 'notanumber'"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.row);
+    WriteFile(path, ("s,a,b,label,group\n1,2,3,1,0\n" + c.row + "\n").c_str());
+    std::vector<Status> statuses = {ReadCsv(TinySchema(), path).status()};
+    // Schema inference parses the feature cells only.
+    if (c.column != "column 'label'")
+      statuses.push_back(InferSchemaFromCsv(path).status());
+    for (const Status& st : statuses) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find(c.text), std::string::npos) << st.message();
+      EXPECT_NE(st.message().find("at line 3, " + c.column),
+                std::string::npos)
+          << st.message();
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Csv, QuotedFieldsWithCommasAndEscapedQuotes) {
   // Header names containing commas and quotes must be quotable per
   // RFC 4180; quoted numeric cells unquote before parsing.

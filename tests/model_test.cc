@@ -9,6 +9,7 @@
 #include "src/data/scaler.h"
 #include "src/model/calibration.h"
 #include "src/model/decision_tree.h"
+#include "src/model/gbm.h"
 #include "src/model/knn.h"
 #include "src/model/logistic_regression.h"
 #include "src/model/metrics.h"
@@ -143,6 +144,47 @@ TEST(DecisionTree, ZeroWeightsRejected) {
   DecisionTree tree;
   EXPECT_EQ(tree.Fit(d, {}, Vector(50, 0.0)).code(),
             StatusCode::kInvalidArgument);
+}
+
+// The tree fits sort rows by (value, row), which has no strict order once
+// a value is NaN: every tree model rejects non-finite features, naming
+// the first one's row and column.
+TEST(TreeModels, NonFiniteFeaturesRejected) {
+  const Dataset good = SeparableData(60, 3);
+  for (double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(v);
+    Matrix x = good.x();
+    x.At(17, 1) = v;
+    x.At(40, 0) = v;
+    const Dataset bad(good.schema(), x, good.labels(), good.groups());
+    GradientBoostedTrees gbm;
+    DecisionTree tree;
+    RandomForest forest;
+    for (const Status& st :
+         {gbm.Fit(bad), tree.Fit(bad), forest.Fit(bad)}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find("row 17, column 1"), std::string::npos)
+          << st.message();
+    }
+    EXPECT_FALSE(gbm.fitted());
+    EXPECT_FALSE(tree.fitted());
+    EXPECT_FALSE(forest.fitted());
+  }
+}
+
+TEST(DecisionTree, NonFiniteWeightsRejected) {
+  const Dataset d = SeparableData(50, 8);
+  for (double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(v);
+    Vector weights(50, 1.0);
+    weights[23] = v;
+    DecisionTree tree;
+    const Status st = tree.Fit(d, {}, weights);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("weight at row 23"), std::string::npos)
+        << st.message();
+    EXPECT_FALSE(tree.fitted());
+  }
 }
 
 TEST(RandomForest, BeatsSingleStumpOnCredit) {

@@ -10,9 +10,13 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/registry.h"
+#include "src/core/report.h"
+#include "src/data/csv.h"
 #include "src/data/generators.h"
 #include "src/model/logistic_regression.h"
 #include "src/obs/obs.h"
@@ -334,6 +338,70 @@ TEST(Tracer, RunFactsRecordsSpansLatencyAndRowsScored) {
     }
   }
   EXPECT_EQ(rows.value() - rows_before, expected);
+#endif
+}
+
+// A traced CSV read plus WriteAuditReport: every audit stage records one
+// span, the report's stages nest under one report/audit root, and the CSV
+// reader and burden time themselves in latency histograms.
+TEST(Tracer, AuditReportRecordsStageSpansUnderOneRoot) {
+  TracingGuard guard;
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  const std::string path = "/tmp/xfair_obs_audit.csv";
+  ASSERT_TRUE(WriteCsv(CreditGen(cfg).Generate(300, 79), path).ok());
+  const Result<Schema> schema = InferSchemaFromCsv(path);
+  ASSERT_TRUE(schema.ok());
+  obs::Histogram& read_latency = GetHistogram("latency/read_csv_ns");
+  obs::Histogram& burden_latency = GetHistogram("latency/burden_ns");
+  const uint64_t reads_before = read_latency.count();
+  const uint64_t burdens_before = burden_latency.count();
+  SetTracingEnabled(true);
+  const Result<Dataset> data = ReadCsv(*schema, path);
+  SetTracingEnabled(false);
+  std::remove(path.c_str());
+  ASSERT_TRUE(data.ok());
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(*data).ok());
+  SetTracingEnabled(true);
+  WriteAuditReport(model, *data);
+  SetTracingEnabled(false);
+  const auto spans = FlushSpans();
+  const auto find = [&spans](std::string_view name) {
+    const SpanRecord* found = nullptr;
+    size_t count = 0;
+    for (const auto& s : spans) {
+      if (name == s.name) {
+        found = &s;
+        ++count;
+      }
+    }
+    return std::make_pair(found, count);
+  };
+#ifdef XFAIR_OBS_DISABLED
+  EXPECT_TRUE(spans.empty());
+  EXPECT_EQ(find("report/audit").second, 0u);
+  EXPECT_EQ(read_latency.count(), reads_before);
+  EXPECT_EQ(burden_latency.count(), burdens_before);
+#else
+  for (const char* name : {"data/read_csv", "report/audit",
+                           "fairness/group_metrics", "burden/run",
+                           "fairness/tradeoff"}) {
+    EXPECT_EQ(find(name).second, 1u) << name;
+  }
+  const SpanRecord* root = find("report/audit").first;
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent_id, 0u);
+  for (const char* name : {"fairness/group_metrics", "burden/run",
+                           "fairness_shap/batch", "facts/run",
+                           "fairness/tradeoff"}) {
+    const SpanRecord* stage = find(name).first;
+    ASSERT_NE(stage, nullptr) << name;
+    EXPECT_EQ(stage->thread_ordinal, root->thread_ordinal) << name;
+    EXPECT_EQ(stage->parent_id, root->id) << name;
+  }
+  EXPECT_EQ(read_latency.count(), reads_before + 1);
+  EXPECT_EQ(burden_latency.count(), burdens_before + 1);
 #endif
 }
 
