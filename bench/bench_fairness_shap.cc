@@ -23,6 +23,7 @@
 #include "src/unfair/causal_path.h"
 #include "src/unfair/fairness_shap.h"
 #include "src/util/table.h"
+#include "tests/oracles/tree_shap_oracle.h"
 
 namespace xfair {
 namespace {
@@ -129,9 +130,8 @@ void PrintOnce() {
     Dataset data = CreditGen(cfg).Generate(900, 118);
     DecisionTree model;
     XFAIR_CHECK(model.Fit(data).ok());
-    FairnessShapOptions generic;
-    generic.use_tree_fast_path = false;
-    FairnessShapOptions fast;  // Tree fast path on by default.
+    // Behind the black-box wrapper the tree takes the generic engine.
+    const oracles::BlackBoxModel generic(model);
 
     // Audit throughput: the batched thresholded sweep vs its looped
     // per-row reference on the credit audit slice — the engine inner
@@ -168,8 +168,9 @@ void PrintOnce() {
               audit_model, audit.x(), slice, weights, background, tau));
         },
         [&] {
-          benchmark::DoNotOptimize(InterventionalTreeShapThresholdedLooped(
-              audit_model, audit.x(), slice, weights, background, tau));
+          benchmark::DoNotOptimize(
+              oracles::InterventionalTreeShapThresholdedLooped(
+                  audit_model, audit.x(), slice, weights, background, tau));
         },
         /*repeats=*/7);
 
@@ -177,11 +178,10 @@ void PrintOnce() {
         "fairness_shap",
         [&] {
           benchmark::DoNotOptimize(
-              ExplainParityWithShapley(model, data, generic));
+              ExplainParityWithShapley(generic, data, {}));
         },
         [&] {
-          benchmark::DoNotOptimize(
-              ExplainParityWithShapley(model, data, fast));
+          benchmark::DoNotOptimize(ExplainParityWithShapley(model, data, {}));
         },
         /*repeats=*/3, extra);
   }

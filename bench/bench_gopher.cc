@@ -11,6 +11,7 @@
 #include "src/data/generators.h"
 #include "src/unfair/gopher.h"
 #include "src/util/table.h"
+#include "tests/oracles/subgroup_oracle.h"
 
 namespace xfair {
 namespace {
@@ -75,10 +76,10 @@ void PrintOnce() {
   }
 
   // Depth-3 intersectional workload: the vertical-bitset lattice engine
-  // vs the looped BinTable::Matches oracle (identical candidates, 0-ulp
-  // identical estimates), written to BENCH_gopher.json with a
-  // candidates_per_sec throughput figure. Estimate-only so the search
-  // dominates the measurement instead of retraining.
+  // vs the looped per-candidate oracle (tests/oracles/; identical
+  // candidates, 0-ulp identical estimates), written to BENCH_gopher.json
+  // with a candidates_per_sec throughput figure. Estimate-only so the
+  // search dominates the measurement instead of retraining.
   {
     BiasConfig cfg;
     cfg.score_shift = 1.0;
@@ -90,8 +91,6 @@ void PrintOnce() {
     engine.bins = 5;   // both paths score every lattice candidate.
     engine.max_conditions = 3;
     engine.min_support = 0.01;
-    GopherOptions oracle = engine;
-    oracle.use_bitset_engine = false;
     const auto probe = ExplainUnfairnessByPatterns(model, data, engine);
     XFAIR_CHECK(probe.ok());
     const size_t candidates = probe->candidates_scored;
@@ -101,7 +100,7 @@ void PrintOnce() {
     };
     const auto run_oracle = [&] {
       benchmark::DoNotOptimize(
-          ExplainUnfairnessByPatterns(model, data, oracle));
+          oracles::ExplainUnfairnessByPatternsLooped(model, data, engine));
     };
     const std::string extra =
         MeasureThroughputExtra("candidates", candidates, run_engine,

@@ -1217,21 +1217,6 @@ ShapNode* ThresholdInto(ShapArena* arena, const std::vector<ShapNode>& src,
   return thresholded;
 }
 
-/// Shared epilogue of the two thresholded entry points: combine the
-/// per-tile partials per coordinate with the fixed pairwise tree.
-Vector CombineTilePartials(ShapArena* arena, size_t ntiles, size_t d) {
-  const size_t dim = d + 1;
-  const double* tile_partial = arena->slice_partial.data();
-  Vector out(d);
-  for (size_t c = 0; c < d; ++c) {
-    for (size_t k = 0; k < ntiles; ++k) {
-      arena->pair[k] = tile_partial[k * dim + c];
-    }
-    out[c] = PairwiseSumInPlace(arena->pair.data(), ntiles);
-  }
-  return out;
-}
-
 void CountBatch(size_t instances) {
   XFAIR_COUNTER_ADD("tree_shap/batch_calls", 1);
   XFAIR_COUNTER_ADD("tree_shap/batch_instances", instances);
@@ -1550,7 +1535,7 @@ Vector InterventionalTreeShapThresholded(const DecisionTree& tree,
         IvWalkBatch(&ctx, 0, 0, alive0);
       }
       // Tile partial: ascending-row serial sum per coordinate — the exact
-      // combine the looped entry point applies to its per-row vectors.
+      // combine the looped reference applies to its per-row vectors.
       double* part = tile_partial + ti * dim;
       for (size_t c = 0; c < dim; ++c) {
         double s = 0.0;
@@ -1561,54 +1546,15 @@ Vector InterventionalTreeShapThresholded(const DecisionTree& tree,
     XFAIR_COUNTER_ADD("tree_shap/leaf_memo_hits", ctx.memo_hits);
     XFAIR_COUNTER_ADD("tree_shap/leaf_memo_misses", ctx.memo_misses);
   });
-  return CombineTilePartials(&caller_arena, ntiles, d);
-}
-
-Vector InterventionalTreeShapThresholdedLooped(const DecisionTree& tree,
-                                               const Matrix& xs,
-                                               const std::vector<size_t>& rows,
-                                               const Vector& weights,
-                                               const Vector& z, double tau) {
-  XFAIR_CHECK_MSG(tree.fitted(), "model not fitted");
-  XFAIR_CHECK(rows.size() == weights.size());
-  XFAIR_CHECK(z.size() == xs.cols());
-  XFAIR_SPAN("tree_shap/thresholded_looped");
-  XFAIR_COUNTER_ADD("tree_shap/thresholded_calls", 1);
-  const ShapModelPtr model = ModelFor(tree);
-  XFAIR_CHECK(model->max_feature < static_cast<int>(z.size()));
-  const size_t d = z.size();
-  if (rows.empty()) return Vector(d, 0.0);
-  const size_t dim = d + 1;
-  ShapArena& caller_arena = LocalArena();
-  ArenaCall caller_call(&caller_arena);
-  ShapNode* thresholded = ThresholdInto(&caller_arena, model->trees[0], tau);
-  // Same tiling and combine as the batched sweep so the two entry points
-  // are comparable bit for bit; only the per-tile inner loop differs (one
-  // independent IvWalk per row here).
-  const size_t ntiles = (rows.size() + kBatchTile - 1) / kBatchTile;
-  caller_arena.Ensure(&caller_arena.slice_partial, ntiles * dim);
-  caller_arena.Ensure(&caller_arena.pair, ntiles);
-  double* tile_partial = caller_arena.slice_partial.data();
-  ParallelForChunks(0, ntiles, [&](const ChunkRange& ichunk) {
-    ShapArena& arena = LocalArena();
-    ArenaCall call(&arena);
-    arena.Reserve(&arena.iv_path, model->max_unique_path + 1);
-    arena.Ensure(&arena.partial, dim);
-    for (size_t ti = ichunk.begin; ti < ichunk.end; ++ti) {
-      const size_t at = ti * kBatchTile;
-      const size_t tile = std::min(kBatchTile, rows.size() - at);
-      double* part = tile_partial + ti * dim;
-      std::fill(part, part + dim, 0.0);
-      double* v = arena.partial.data();
-      for (size_t i = 0; i < tile; ++i) {
-        std::fill(v, v + dim, 0.0);
-        IvWalk(thresholded, 0, xs.RowPtr(rows[at + i]), z.data(),
-               &arena.iv_path, weights[at + i], v, &v[d], Factorials());
-        for (size_t c = 0; c < dim; ++c) part[c] += v[c];
-      }
+  // Combine the tile partials per coordinate with the fixed pairwise tree.
+  Vector out(d);
+  for (size_t c = 0; c < d; ++c) {
+    for (size_t k = 0; k < ntiles; ++k) {
+      caller_arena.pair[k] = tile_partial[k * dim + c];
     }
-  });
-  return CombineTilePartials(&caller_arena, ntiles, d);
+    out[c] = PairwiseSumInPlace(caller_arena.pair.data(), ntiles);
+  }
+  return out;
 }
 
 CoalitionValue PathDependentGame(const DecisionTree& tree, const Vector& x) {

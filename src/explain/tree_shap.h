@@ -103,23 +103,15 @@ TreeShapExplanation InterventionalTreeShap(const RandomForest& forest,
 ///
 /// Runs as one SoA tile sweep per thresholded tree (DESIGN §10):
 /// incremental coalition masks, per-mask leaf-delta memoization, and
-/// grow-only arenas, bit-identical (0 ulp) to the Looped reference below
-/// at any thread count and SIMD setting.
+/// grow-only arenas, bit-identical (0 ulp) at any thread count and SIMD
+/// setting to one independent interventional walk per row with the same
+/// tiling and cross-tile combine (the looped reference in
+/// tests/oracles/tree_shap_oracle.h).
 Vector InterventionalTreeShapThresholded(const DecisionTree& tree,
                                          const Matrix& xs,
                                          const std::vector<size_t>& rows,
                                          const Vector& weights,
                                          const Vector& z, double tau);
-
-/// Reference implementation of the same game: one independent IvWalk per
-/// row, with the batched sweep's tiling and cross-tile combine. Used by
-/// the 0-ulp golden tests and as the looped baseline for the
-/// audit-rows/sec benchmark.
-Vector InterventionalTreeShapThresholdedLooped(const DecisionTree& tree,
-                                               const Matrix& xs,
-                                               const std::vector<size_t>& rows,
-                                               const Vector& weights,
-                                               const Vector& z, double tau);
 
 /// A batch of explanations: row i of `phi` explains instance i.
 struct TreeShapBatchExplanation {

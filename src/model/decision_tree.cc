@@ -1,7 +1,5 @@
 #include "src/model/decision_tree.h"
 
-#include <cmath>
-
 #include "src/model/presort.h"
 #include "src/obs/obs.h"
 #include "src/util/parallel.h"
@@ -122,15 +120,13 @@ Status DecisionTree::Fit(const Dataset& data,
   if (!instance_weights.empty() && instance_weights.size() != data.size()) {
     return Status::InvalidArgument("instance_weights size mismatch");
   }
+  const Status finite = CheckFiniteInputs(data.x(), instance_weights);
+  if (!finite.ok()) return finite;
   Vector weights = instance_weights;
   if (weights.empty()) weights.assign(data.size(), 1.0);
   std::vector<uint32_t> rows;
   rows.reserve(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
-    if (!std::isfinite(weights[i])) {
-      return Status::InvalidArgument("non-finite instance weight at row " +
-                                     std::to_string(i));
-    }
     if (weights[i] > 0.0) rows.push_back(static_cast<uint32_t>(i));
   }
   if (rows.empty())

@@ -114,6 +114,8 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
   if (options.num_rounds == 0) {
     return Status::InvalidArgument("num_rounds must be positive");
   }
+  const Status finite = CheckFiniteInputs(data.x());
+  if (!finite.ok()) return finite;
   // X never changes during a fit, so every round's tree starts from the
   // same presorted lists; only the residuals change.
   std::vector<uint32_t> all(n);

@@ -17,6 +17,8 @@ Status KnnClassifier::Fit(const Dataset& data) {
   if (k_ > data.size()) {
     return Status::InvalidArgument("k exceeds training-set size");
   }
+  const Status finite = CheckFiniteInputs(data.x());
+  if (!finite.ok()) return finite;
   data_ = data;
   index_ = KdTree(data_.x());
   fitted_ = true;

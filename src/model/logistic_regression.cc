@@ -22,6 +22,8 @@ Status LogisticRegression::Fit(const Dataset& data,
   if (!instance_weights.empty() && instance_weights.size() != n) {
     return Status::InvalidArgument("instance_weights size mismatch");
   }
+  const Status finite = CheckFiniteInputs(data.x(), instance_weights);
+  if (!finite.ok()) return finite;
   double total_weight = 0.0;
   for (size_t i = 0; i < n; ++i)
     total_weight += instance_weights.empty() ? 1.0 : instance_weights[i];

@@ -1,6 +1,8 @@
 #include "src/model/model.h"
 
 #include <atomic>
+#include <cmath>
+#include <string>
 
 #include "src/obs/obs.h"
 #include "src/util/parallel.h"
@@ -11,6 +13,26 @@ uint64_t NextModelFitId() {
   // Starts at 1 so 0 always reads "never fitted" to cache lookups.
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+Status CheckFiniteInputs(const Matrix& x, const Vector& weights) {
+  for (size_t i = 0; i < x.rows(); ++i) {
+    const double* row = x.RowPtr(i);
+    for (size_t f = 0; f < x.cols(); ++f) {
+      if (!std::isfinite(row[f])) {
+        return Status::InvalidArgument(
+            "non-finite feature value at row " + std::to_string(i) +
+            ", column " + std::to_string(f));
+      }
+    }
+  }
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (!std::isfinite(weights[i])) {
+      return Status::InvalidArgument("non-finite instance weight at row " +
+                                     std::to_string(i));
+    }
+  }
+  return Status::OK();
 }
 
 Vector Model::PredictProbaBatch(const Matrix& x) const {

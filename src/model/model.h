@@ -13,6 +13,7 @@
 
 #include "src/data/dataset.h"
 #include "src/util/matrix.h"
+#include "src/util/status.h"
 
 namespace xfair {
 
@@ -22,6 +23,12 @@ namespace xfair {
 /// changes on refit and is never reused, so a stale entry can't survive
 /// either a refit or an address reused by a new model object.
 uint64_t NextModelFitId();
+
+/// OK when every value of `x` and of `weights` is finite; otherwise
+/// InvalidArgument naming the first offender: "non-finite feature value
+/// at row r, column c" in row-major order, then "non-finite instance
+/// weight at row r". Every Fit calls it once before it reads its inputs.
+Status CheckFiniteInputs(const Matrix& x, const Vector& weights = {});
 
 /// Black-box tier: a trained binary classifier exposing only scores.
 class Model {

@@ -1,9 +1,7 @@
 #include "src/model/presort.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <string>
 
 namespace xfair {
 
@@ -15,16 +13,6 @@ Result<Presort> Presort::Make(const Matrix& x, std::vector<uint32_t> rows) {
   Presort p;
   p.m_ = rows.size();
   p.d_ = x.cols();
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = x.RowPtr(i);
-    for (size_t f = 0; f < p.d_; ++f) {
-      if (!std::isfinite(row[f])) {
-        return Status::InvalidArgument(
-            "non-finite feature value at row " + std::to_string(i) +
-            ", column " + std::to_string(f));
-      }
-    }
-  }
   if (n > 0) p.x_ = x.RowPtr(0);
   p.lists_.resize((p.d_ + 1) * p.m_);
   std::copy(rows.begin(), rows.end(), p.lists_.begin());

@@ -25,11 +25,11 @@ namespace xfair {
 /// The split-finding layout of one tree fit over a subset of X's rows.
 class Presort {
  public:
-  /// Builds the layout over `rows` (ascending ids into `x`). Fails with
-  /// InvalidArgument naming the row and column of the first non-finite
-  /// value of `x` in row-major order: (value, row) has no strict order
-  /// once a value is NaN. The layout reads `x` in place, so `x` must
-  /// outlive it unchanged.
+  /// Builds the layout over `rows` (ascending ids into `x`). Every value
+  /// of `x` must be finite (CheckFiniteInputs): (value, row) has no
+  /// strict order once a value is NaN. Fails with InvalidArgument when
+  /// `x` has too many rows for 32-bit ids. The layout reads `x` in place,
+  /// so `x` must outlive it unchanged.
   static Result<Presort> Make(const Matrix& x, std::vector<uint32_t> rows);
 
   /// Rows in the fit: the length of every list.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/model/model.h"
 #include "src/obs/obs.h"
 #include "src/util/kernels.h"
 #include "src/util/parallel.h"
@@ -30,6 +31,8 @@ Status SoftmaxRegression::Fit(const Matrix& x,
       return Status::InvalidArgument("label out of range");
     }
   }
+  const Status finite = CheckFiniteInputs(x);
+  if (!finite.ok()) return finite;
 
   // Internal standardization (same rationale as LogisticRegression):
   // row-major moment passes, then one standardized copy so the gradient

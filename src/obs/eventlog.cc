@@ -7,6 +7,8 @@
 #include <deque>
 #include <mutex>
 
+#include "src/obs/export.h"
+
 namespace xfair::obs {
 namespace {
 
@@ -33,29 +35,6 @@ std::atomic<bool> g_enabled{[] {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 #endif
 }()};
-
-[[maybe_unused]] std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

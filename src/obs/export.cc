@@ -6,10 +6,7 @@
 #include <string_view>
 
 namespace xfair::obs {
-namespace {
 
-/// JSON string escaping for span/counter names (quotes, backslashes,
-/// control characters).
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -32,6 +29,8 @@ std::string JsonEscape(std::string_view s) {
   }
   return out;
 }
+
+namespace {
 
 std::string FormatMs(double ms) {
   char buf[32];

@@ -7,6 +7,7 @@
 #define XFAIR_OBS_EXPORT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/counters.h"
@@ -22,6 +23,10 @@ struct StageStat {
   double total_ms = 0.0;
   double self_ms = 0.0;  ///< total minus time in same-thread child spans.
 };
+
+/// `s` escaped for use inside a JSON string literal: quotes,
+/// backslashes and control characters.
+std::string JsonEscape(std::string_view s);
 
 /// Aggregates spans by name, sorted by name (deterministic).
 std::vector<StageStat> AggregateStages(const std::vector<SpanRecord>& spans);

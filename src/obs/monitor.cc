@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "src/obs/eventlog.h"
+#include "src/obs/export.h"
 
 namespace xfair::obs {
 
@@ -194,7 +195,9 @@ size_t FairnessMonitor::Drain() {
 }
 
 void FairnessMonitor::Process(const MonitorEvent& event) {
-  if (event.group < 0 || event.group >= kMaxGroups) {
+  // The negated range test also catches NaN scores.
+  if (event.group < 0 || event.group >= kMaxGroups ||
+      !(event.score >= 0.0 && event.score <= 1.0)) {
     ++events_dropped_;
     return;
   }
@@ -419,7 +422,7 @@ std::string FairnessMonitor::SnapshotJson() const {
     out += "}";
   }
   out += first ? "},\n" : "\n  },\n";
-  out += "  \"monitor\": \"" + name_ + "\",\n";
+  out += "  \"monitor\": \"" + JsonEscape(name_) + "\",\n";
   const WindowedMetrics wm = Windowed();
   out += "  \"window\": {";
   out += "\"calibration_gap\": " + FormatDouble(wm.calibration_gap);

@@ -235,7 +235,8 @@ class FairnessMonitor {
   /// Removes every registered hook.
   void ClearAlarmHooks();
   uint64_t events_processed() const { return events_processed_; }
-  /// Events dropped for an out-of-range group id.
+  /// Events dropped at drain time for an out-of-range group id or a
+  /// score that is not a probability (NaN, infinite, or outside [0, 1]).
   uint64_t events_dropped() const { return events_dropped_; }
 
   /// Clears window, aggregates, detectors, alarms, and the sequence

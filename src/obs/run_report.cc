@@ -6,6 +6,7 @@
 #include <map>
 
 #include "src/obs/eventlog.h"
+#include "src/obs/export.h"
 #include "src/obs/monitor.h"
 #include "src/obs/recorder.h"
 
@@ -19,29 +20,6 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t bytes) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

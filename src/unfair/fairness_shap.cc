@@ -184,21 +184,15 @@ FairnessShapReport ExplainParityMask(const Model& model, const Dataset& data,
   // on the hard-thresholded tree — which interventional TreeSHAP solves
   // exactly in polynomial time. No coalition is ever evaluated.
   const auto* tree = dynamic_cast<const DecisionTree*>(&model);
-  if (options.use_tree_fast_path && tree != nullptr) {
+  if (tree != nullptr) {
     Vector weights(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
       const int g = data.group(rows[i]);
       weights[i] = g == 0 ? 1.0 / static_cast<double>(count[0])
                           : -1.0 / static_cast<double>(count[1]);
     }
-    Vector contributions =
-        options.use_batched_sweep
-            ? InterventionalTreeShapThresholded(*tree, data.x(), rows,
-                                                weights, background,
-                                                model.threshold())
-            : InterventionalTreeShapThresholdedLooped(*tree, data.x(), rows,
-                                                      weights, background,
-                                                      model.threshold());
+    Vector contributions = InterventionalTreeShapThresholded(
+        *tree, data.x(), rows, weights, background, model.threshold());
     // Endpoint gaps come from direct evaluation: full = original rows,
     // baseline = every feature masked to the background means.
     const double full_gap = [&] {

@@ -9,6 +9,14 @@
 //  - masking (fast, model-agnostic): v(S) = parity gap of the fixed model
 //    with features outside S marginalized to group-agnostic background
 //    values.
+//
+// In masking mode a DecisionTree model skips coalition enumeration: the
+// masked parity gap is a weighted sum of per-row masking games on the
+// hard-thresholded tree, which exact polynomial TreeSHAP solves in one
+// batched sweep (src/explain/tree_shap.h, DESIGN §10). Its attributions
+// agree with the generic engine, exactly where that engine is itself
+// exact (d <= 10). Every other Model, a tree behind a wrapper that only
+// forwards the Model interface included, takes the generic engine.
 
 #ifndef XFAIR_UNFAIR_FAIRNESS_SHAP_H_
 #define XFAIR_UNFAIR_FAIRNESS_SHAP_H_
@@ -42,19 +50,6 @@ struct FairnessShapOptions {
   /// Background rows used by the masking mode (sampled from data).
   size_t background_size = 30;
   uint64_t seed = 17;
-  /// In kMask mode with a DecisionTree model, compute the decomposition
-  /// with exact polynomial TreeSHAP (src/explain/tree_shap.h) instead of
-  /// coalition enumeration/sampling: the masked parity gap is a weighted
-  /// sum of per-row masking games on the hard-thresholded tree, so the
-  /// attributions agree with the generic engine (exactly where the
-  /// generic engine is itself exact, i.e. d <= 10). Disable to force the
-  /// generic engines, e.g. for benchmarking.
-  bool use_tree_fast_path = true;
-  /// On the tree fast path, run the thresholded games as one batched SoA
-  /// tile sweep (DESIGN §10) instead of one IvWalk per sampled row. The
-  /// two are bit-identical (0 ulp); disable to force the looped
-  /// reference, e.g. for the audit-rows/sec benchmark baseline.
-  bool use_batched_sweep = true;
 };
 
 /// Decomposes the statistical parity difference of `model` on `data` into

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <queue>
 
 #include "src/explain/influence.h"
@@ -13,38 +12,6 @@
 #include "src/util/parallel.h"
 
 namespace xfair {
-namespace {
-
-/// Instance-major table of discretized bins, computed once so the apriori
-/// scan does array compares instead of re-binning every (row, condition)
-/// pair.
-class BinTable {
- public:
-  BinTable(const Discretizer& disc, const Dataset& data)
-      : n_(data.size()), d_(data.num_features()), bins_(n_ * d_) {
-    ParallelFor(0, n_, [&](size_t i) {
-      for (size_t f = 0; f < d_; ++f) {
-        bins_[i * d_ + f] =
-            static_cast<uint16_t>(disc.BinOf(f, data.x().At(i, f)));
-      }
-    });
-  }
-
-  bool Matches(size_t i, const Conditions& conditions) const {
-    for (const auto& [f, b] : conditions) {
-      if (bins_[i * d_ + f] != b) return false;
-    }
-    return true;
-  }
-
-  uint16_t bin(size_t i, size_t f) const { return bins_[i * d_ + f]; }
-
- private:
-  size_t n_, d_;
-  std::vector<uint16_t> bins_;
-};
-
-}  // namespace
 
 Result<GopherReport> ExplainUnfairnessByPatterns(
     const LogisticRegression& model, const Dataset& train,
@@ -59,33 +26,19 @@ Result<GopherReport> ExplainUnfairnessByPatterns(
   // Per-instance first-order effect on the gap of removing the instance.
   const Vector influence = analyzer.InfluenceOnParityGap(train);
 
-  Discretizer disc(train, options.bins);
-  const BinTable bins(disc, train);
+  const Discretizer disc(train, options.bins);
   const size_t n = train.size();
   const size_t min_count = std::max<size_t>(
       1, static_cast<size_t>(options.min_support * static_cast<double>(n)));
   const size_t max_count = static_cast<size_t>(
       options.max_support * static_cast<double>(n));
 
+  // Vertical-bitset lattice engine (DESIGN.md §11): extents by word-wise
+  // AND, supports by popcount, estimates by a masked influence sweep.
   std::vector<GopherPattern> scored;
-  const auto collect = [&](const Conditions& cand, size_t support,
-                           double estimate) {
-    GopherPattern p;
-    p.conditions = cand;
-    p.description = disc.Describe(train.schema(), cand);
-    p.support = support;
-    p.estimated_gap_change = estimate;
-    p.interestingness = std::fabs(estimate) / static_cast<double>(support);
-    scored.push_back(std::move(p));
-  };
-
-  if (options.use_bitset_engine) {
-    // Vertical-bitset lattice engine (DESIGN.md §11): extents by word-wise
-    // AND, supports by popcount, estimates by a masked influence sweep.
-    // Every depth takes this path — no dense pair table, no per-candidate
-    // row scan, no num_sids cap.
+  {
     XFAIR_SPAN("gopher/lattice_engine");
-    SliceExtentIndex index(disc, train);
+    const SliceExtentIndex index(disc, train);
     // Optimistic bound: a sub-slice's estimate is a subset sum of its
     // ancestor's extent, so it can never fall below the extent's total
     // negative influence mass. Once the top-k heap is full, extents whose
@@ -119,10 +72,16 @@ Result<GopherReport> ExplainUnfairnessByPatterns(
         /*admit=*/
         [&](size_t ci, const LatticeNode& node) {
           if (node.support >= min_count && node.support <= max_count) {
-            Conditions cand(node.depth);
+            GopherPattern p;
+            p.conditions.resize(node.depth);
             for (size_t k = 0; k < node.depth; ++k)
-              cand[k] = index.condition(node.sids[k]);
-            collect(cand, node.support, estimates[ci]);
+              p.conditions[k] = index.condition(node.sids[k]);
+            p.description = disc.Describe(train.schema(), p.conditions);
+            p.support = node.support;
+            p.estimated_gap_change = estimates[ci];
+            p.interestingness = std::fabs(estimates[ci]) /
+                                static_cast<double>(node.support);
+            scored.push_back(std::move(p));
             if (prune) {
               top_estimates.push(estimates[ci]);
               if (top_estimates.size() > options.top_k) top_estimates.pop();
@@ -146,67 +105,13 @@ Result<GopherReport> ExplainUnfairnessByPatterns(
     XFAIR_COUNTER_ADD("gopher/candidates_scored", stats.candidates);
     XFAIR_COUNTER_ADD("gopher/singles_pruned", stats.singles_zero_support);
     XFAIR_COUNTER_ADD("gopher/bound_pruned", bound_pruned);
-  } else {
-    // Looped golden oracle: level-wise apriori with one BinTable::Matches
-    // row scan per candidate. Each candidate's mask is built bit by bit
-    // and reduced with the scalar reference masked sum, so its estimate is
-    // bit-identical to the engine's (the kernel contract pins dispatched
-    // == scalar at 0 ulp) and the engine tests can demand EXPECT_EQ.
-    std::vector<Conditions> singles;
-    for (size_t f = 0; f < train.num_features(); ++f) {
-      for (size_t b = 0; b < disc.NumBins(f); ++b) singles.push_back({{f, b}});
-    }
-    const size_t words = (n + 63) / 64;
-    std::vector<Conditions> current = singles;
-    for (size_t depth = 1; depth <= options.max_conditions && !current.empty();
-         ++depth) {
-      XFAIR_SPAN("gopher/apriori_depth");
-      XFAIR_COUNTER_ADD("gopher/candidates_scored", current.size());
-      report.candidates_scored += current.size();
-      std::vector<size_t> supports(current.size(), 0);
-      Vector estimates(current.size(), 0.0);
-      ParallelFor(0, current.size(), [&](size_t ci) {
-        const Conditions& cand = current[ci];
-        std::vector<uint64_t> mask(words, 0);
-        size_t support = 0;
-        for (size_t i = 0; i < n; ++i) {
-          if (!bins.Matches(i, cand)) continue;
-          mask[i >> 6] |= uint64_t{1} << (i & 63);
-          ++support;
-        }
-        supports[ci] = support;
-        estimates[ci] =
-            kernels::detail::MaskedSumU64Scalar(influence.data(), mask.data(), n);
-      });
-      // Collect the frequent and scored patterns in candidate order.
-      std::vector<Conditions> next;
-      for (size_t ci = 0; ci < current.size(); ++ci) {
-        if (supports[ci] < min_count) continue;
-        next.push_back(current[ci]);  // Frequent: extendable next depth.
-        if (supports[ci] > max_count) continue;
-        collect(current[ci], supports[ci], estimates[ci]);
-      }
-      if (depth == options.max_conditions) break;
-      // Extend frequent patterns by one canonical-order condition.
-      std::vector<Conditions> extended;
-      for (const auto& base : next) {
-        if (base.size() != depth) continue;
-        for (const auto& ext : singles) {
-          if (ext[0].first <= base.back().first) continue;
-          Conditions grown = base;
-          grown.push_back(ext[0]);
-          extended.push_back(std::move(grown));
-        }
-      }
-      current = std::move(extended);
-    }
   }
   report.patterns_examined = scored.size();
   XFAIR_COUNTER_ADD("gopher/patterns_examined", scored.size());
 
   // Most gap-reducing removals first (most negative estimated change).
   // Ties resolve by lexicographic conditions — a total order, so the
-  // ranking is identical across engine/oracle paths and thread counts.
+  // ranking is identical across thread counts and to the looped oracle.
   std::sort(scored.begin(), scored.end(),
             [](const GopherPattern& a, const GopherPattern& b) {
               if (a.estimated_gap_change != b.estimated_gap_change)
@@ -220,8 +125,13 @@ Result<GopherReport> ExplainUnfairnessByPatterns(
   ParallelFor(0, scored.size(), [&](size_t pi) {
     GopherPattern& p = scored[pi];
     std::vector<size_t> keep;
-    for (size_t i = 0; i < n; ++i)
-      if (!bins.Matches(i, p.conditions)) keep.push_back(i);
+    for (size_t i = 0; i < n; ++i) {
+      const bool matches = std::all_of(
+          p.conditions.begin(), p.conditions.end(), [&](const auto& c) {
+            return disc.BinOf(c.first, train.x().At(i, c.first)) == c.second;
+          });
+      if (!matches) keep.push_back(i);
+    }
     if (keep.size() < train.num_features() + 2) return;
     Dataset reduced = train.Subset(keep);
     LogisticRegression retrained;

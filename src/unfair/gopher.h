@@ -2,8 +2,12 @@
 // unfairness by the *training data* — find interpretable patterns
 // (conjunctions of bounds on feature values) whose removal or relabeling
 // from the training set most reduces the model's parity gap. Candidate
-// patterns are scored cheaply with influence functions, then the top ones
-// are verified by actual retraining.
+// patterns are scored cheaply with influence functions on the
+// vertical-bitset lattice engine (src/unfair/slice_search.h): extents are
+// word-wise ANDs of single bitvectors, supports are popcounts and
+// estimates are kernels::MaskedSumU64 sweeps. The top ones are then
+// verified by actual retraining. tests/oracles/subgroup_oracle.h keeps a
+// looped per-candidate scan the engine is pinned against at 0 ulp.
 
 #ifndef XFAIR_UNFAIR_GOPHER_H_
 #define XFAIR_UNFAIR_GOPHER_H_
@@ -40,18 +44,11 @@ struct GopherOptions {
   double min_support = 0.02;  ///< Of the training set.
   double max_support = 0.5;   ///< Patterns larger than this explain nothing.
   size_t top_k = 5;           ///< Patterns to verify by retraining.
-  /// Score candidates on the vertical-bitset lattice engine
-  /// (src/unfair/slice_search.h): extents are word-wise ANDs of single
-  /// bitvectors, supports are popcounts, and estimates are
-  /// kernels::MaskedSumU64 sweeps — every depth takes the fast path.
-  /// Off = the per-candidate looped scan over BinTable::Matches, kept as
-  /// the golden oracle the engine is pinned against at 0 ulp.
-  bool use_bitset_engine = true;
   /// Skip extending subgroups whose total negative influence mass cannot
   /// beat the current top-k (an optimistic bound: any sub-slice's
   /// estimate is a subset sum, so it is at least the parent extent's
   /// negative mass). Never changes the reported top-k patterns; it only
-  /// shrinks patterns_examined. Engine path only; needs top_k > 0.
+  /// shrinks patterns_examined. Needs top_k > 0.
   bool optimistic_prune = true;
 };
 

@@ -13,9 +13,7 @@ namespace xfair {
 namespace {
 
 /// Per-row numerator/denominator indicators for a slice metric: the
-/// slice's metric is |extent ∩ hit| / |extent ∩ relevant|. Shared by
-/// the bitvector engine and the looped oracle so both count the exact
-/// same integers.
+/// slice's metric is |extent ∩ hit| / |extent ∩ relevant|.
 void MetricIndicators(SliceMetricKind metric, int yhat, int y, bool* hit,
                       bool* relevant) {
   const bool pos = yhat == 1;
@@ -199,7 +197,7 @@ WorstSliceReport WorstSliceSearch(const Model& model, const Dataset& data,
     cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
     XFAIR_CHECK(cols.back() < data.num_features());
   }
-  Discretizer disc(data, options.bins);
+  const Discretizer disc(data, options.bins);
 
   // Metric numerator/denominator indicators per row, packed once.
   const std::vector<int> yhat = model.PredictBatch(data.x());
@@ -231,93 +229,37 @@ WorstSliceReport WorstSliceSearch(const Model& model, const Dataset& data,
   };
   std::vector<Qualifying> qualifying;
 
-  if (options.use_bitset_engine) {
-    SliceExtentIndex index(disc, data, cols);
-    std::vector<size_t> hits, rels;
-    const auto stats = LatticeWalk(
-        index, min_count, options.max_conditions,
-        /*begin_level=*/
-        [&](size_t count) {
-          hits.assign(count, 0);
-          rels.assign(count, 0);
-        },
-        /*score=*/
-        [&](size_t ci, const LatticeNode& node) {
-          hits[ci] =
-              kernels::AndPopcountU64(node.extent, hit_bits.data(), words);
-          rels[ci] =
-              kernels::AndPopcountU64(node.extent, rel_bits.data(), words);
-        },
-        /*admit=*/
-        [&](size_t ci, const LatticeNode& node) {
-          if (node.support >= min_count && rels[ci] > 0) {
-            Conditions conds(node.depth);
-            for (size_t k = 0; k < node.depth; ++k) {
-              conds[k] = index.condition(node.sids[k]);
-            }
-            qualifying.push_back(
-                {std::move(conds), node.support, hits[ci], rels[ci]});
+  const SliceExtentIndex index(disc, data, cols);
+  std::vector<size_t> hits, rels;
+  const auto stats = LatticeWalk(
+      index, min_count, options.max_conditions,
+      /*begin_level=*/
+      [&](size_t count) {
+        hits.assign(count, 0);
+        rels.assign(count, 0);
+      },
+      /*score=*/
+      [&](size_t ci, const LatticeNode& node) {
+        hits[ci] =
+            kernels::AndPopcountU64(node.extent, hit_bits.data(), words);
+        rels[ci] =
+            kernels::AndPopcountU64(node.extent, rel_bits.data(), words);
+      },
+      /*admit=*/
+      [&](size_t ci, const LatticeNode& node) {
+        if (node.support >= min_count && rels[ci] > 0) {
+          Conditions conds(node.depth);
+          for (size_t k = 0; k < node.depth; ++k) {
+            conds[k] = index.condition(node.sids[k]);
           }
-          return true;
-        });
-    report.lattice_candidates = stats.candidates;
-    XFAIR_COUNTER_ADD("slice_search/singles_pruned",
-                      stats.singles_zero_support);
-  } else {
-    // Looped golden oracle: same level-wise apriori enumeration, but every
-    // candidate is scored by a per-row scan of the raw data.
-    std::vector<Conditions> singles;
-    for (size_t f : cols) {
-      for (size_t b = 0; b < disc.NumBins(f); ++b) singles.push_back({{f, b}});
-    }
-    std::vector<Conditions> current = singles;
-    for (size_t depth = 1; depth <= options.max_conditions && !current.empty();
-         ++depth) {
-      report.lattice_candidates += current.size();
-      std::vector<size_t> supports(current.size(), 0);
-      std::vector<size_t> hits(current.size(), 0), rels(current.size(), 0);
-      ParallelFor(0, current.size(), [&](size_t ci) {
-        const Conditions& cand = current[ci];
-        for (size_t i = 0; i < n; ++i) {
-          bool match = true;
-          for (const auto& [f, b] : cand) {
-            if (disc.BinOf(f, data.x().At(i, f)) != b) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          ++supports[ci];
-          bool hit = false, relevant = false;
-          MetricIndicators(options.metric, yhat[i], data.label(i), &hit,
-                           &relevant);
-          if (hit) ++hits[ci];
-          if (relevant) ++rels[ci];
-        }
-      });
-      std::vector<Conditions> next;
-      for (size_t ci = 0; ci < current.size(); ++ci) {
-        if (supports[ci] < min_count) continue;
-        if (rels[ci] > 0) {
           qualifying.push_back(
-              {current[ci], supports[ci], hits[ci], rels[ci]});
+              {std::move(conds), node.support, hits[ci], rels[ci]});
         }
-        next.push_back(current[ci]);
-      }
-      if (depth == options.max_conditions) break;
-      std::vector<Conditions> extended;
-      for (const auto& base : next) {
-        if (base.size() != depth) continue;
-        for (const auto& ext : singles) {
-          if (ext[0].first <= base.back().first) continue;
-          Conditions grown = base;
-          grown.push_back(ext[0]);
-          extended.push_back(std::move(grown));
-        }
-      }
-      current = std::move(extended);
-    }
-  }
+        return true;
+      });
+  report.lattice_candidates = stats.candidates;
+  XFAIR_COUNTER_ADD("slice_search/singles_pruned",
+                    stats.singles_zero_support);
 
   report.slices_examined = qualifying.size();
   XFAIR_COUNTER_ADD("slice_search/slices_examined", qualifying.size());
@@ -329,7 +271,7 @@ WorstSliceReport WorstSliceSearch(const Model& model, const Dataset& data,
 
   // Worst first under a total order (badness, then larger support, then
   // lexicographic conditions): deterministic at any thread count and
-  // identical across engine/oracle paths.
+  // identical to the looped oracle.
   const bool higher_is_worse =
       options.metric == SliceMetricKind::kFalsePositiveRate;
   const auto badness = [&](const Qualifying& q) {

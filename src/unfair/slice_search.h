@@ -120,9 +120,6 @@ struct SliceSearchOptions {
   double min_support = 0.02; ///< Of the dataset; apriori frequency floor.
   size_t top_k = 5;          ///< Worst slices to return.
   SliceMetricKind metric = SliceMetricKind::kSelectionRate;
-  /// Route scoring through the vertical-bitset lattice engine. Off =
-  /// per-candidate row scans (the golden oracle the tests pin against).
-  bool use_bitset_engine = true;
 };
 
 /// One audited subgroup and its metric.
@@ -151,7 +148,8 @@ struct WorstSliceReport {
 /// Slices below min_support or with an empty metric denominator are
 /// skipped. Ranking is a total order (badness, then larger support,
 /// then lexicographic conditions), so results are deterministic at any
-/// thread count and identical between the engine and oracle paths.
+/// thread count and identical to the looped per-row oracle in
+/// tests/oracles/subgroup_oracle.h.
 WorstSliceReport WorstSliceSearch(const Model& model, const Dataset& data,
                                   const SliceSearchOptions& options);
 

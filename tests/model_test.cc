@@ -14,6 +14,7 @@
 #include "src/model/logistic_regression.h"
 #include "src/model/metrics.h"
 #include "src/model/random_forest.h"
+#include "src/model/softmax_regression.h"
 
 namespace xfair {
 namespace {
@@ -160,8 +161,12 @@ TEST(TreeModels, NonFiniteFeaturesRejected) {
     GradientBoostedTrees gbm;
     DecisionTree tree;
     RandomForest forest;
+    LogisticRegression lr;
+    SoftmaxRegression softmax;
+    KnnClassifier knn(3);
     for (const Status& st :
-         {gbm.Fit(bad), tree.Fit(bad), forest.Fit(bad)}) {
+         {gbm.Fit(bad), tree.Fit(bad), forest.Fit(bad), lr.Fit(bad),
+          softmax.Fit(bad.x(), bad.labels(), 2), knn.Fit(bad)}) {
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
       EXPECT_NE(st.message().find("row 17, column 1"), std::string::npos)
           << st.message();
@@ -169,6 +174,9 @@ TEST(TreeModels, NonFiniteFeaturesRejected) {
     EXPECT_FALSE(gbm.fitted());
     EXPECT_FALSE(tree.fitted());
     EXPECT_FALSE(forest.fitted());
+    EXPECT_FALSE(lr.fitted());
+    EXPECT_FALSE(softmax.fitted());
+    EXPECT_FALSE(knn.fitted());
   }
 }
 
@@ -179,11 +187,15 @@ TEST(DecisionTree, NonFiniteWeightsRejected) {
     Vector weights(50, 1.0);
     weights[23] = v;
     DecisionTree tree;
-    const Status st = tree.Fit(d, {}, weights);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(st.message().find("weight at row 23"), std::string::npos)
-        << st.message();
+    LogisticRegression lr;
+    for (const Status& st :
+         {tree.Fit(d, {}, weights), lr.Fit(d, {}, weights)}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find("weight at row 23"), std::string::npos)
+          << st.message();
+    }
     EXPECT_FALSE(tree.fitted());
+    EXPECT_FALSE(lr.fitted());
   }
 }
 

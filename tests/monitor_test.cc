@@ -239,12 +239,39 @@ TEST(Monitor, OutOfRangeGroupsAreCountedAsDropped) {
   monitor.Ingest({0, 0.5, 1, 1, -1});
   monitor.Ingest({1, 0.5, 1, 1, FairnessMonitor::kMaxGroups});
   monitor.Ingest({2, 0.5, 1, 1, 0});
+  // Scores that are not probabilities are dropped too; 0 and 1 are kept.
+  uint64_t seq = 3;
+  for (double score : {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.5, 1.5}) {
+    monitor.Ingest({seq++, score, 1, 1, 0});
+  }
+  monitor.Ingest({seq++, 0.0, 0, 0, 0});
+  monitor.Ingest({seq++, 1.0, 1, 1, 0});
   monitor.Drain();
 #ifdef XFAIR_OBS_DISABLED
   EXPECT_EQ(monitor.events_dropped(), 0u);
 #else
-  EXPECT_EQ(monitor.events_dropped(), 2u);
-  EXPECT_EQ(monitor.events_processed(), 1u);
+  EXPECT_EQ(monitor.events_dropped(), 7u);
+  EXPECT_EQ(monitor.events_processed(), 3u);
+  const obs::GroupAggregate& agg = monitor.aggregates()[0];
+  EXPECT_EQ(agg.events, 3u);
+  EXPECT_DOUBLE_EQ(agg.score_mean, 0.5);
+  EXPECT_DOUBLE_EQ(agg.score_variance(), 0.25);
+  const std::string snapshot = monitor.SnapshotJson();
+  EXPECT_EQ(snapshot.find("nan"), std::string::npos) << snapshot;
+  EXPECT_EQ(snapshot.find("inf"), std::string::npos) << snapshot;
+#endif
+}
+
+TEST(Monitor, SnapshotJsonEscapesMonitorName) {
+  MonitorGuard guard;
+  FairnessMonitor monitor("credit \"v2\"\\prod");
+  const std::string snapshot = monitor.SnapshotJson();
+#ifdef XFAIR_OBS_DISABLED
+  EXPECT_EQ(snapshot, "{}");
+#else
+  EXPECT_NE(snapshot.find("\"monitor\": \"credit \\\"v2\\\"\\\\prod\",\n"),
+            std::string::npos)
+      << snapshot;
 #endif
 }
 

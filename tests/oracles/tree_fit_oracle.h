@@ -1,7 +1,7 @@
 // Sort-per-node tree builders, kept as test-only oracles for the presorted
 // builders in src/model/ (DESIGN.md §5.4). Each node re-sorts its rows by
 // (value, row) for every candidate feature; the library sorts once per fit
-// and must produce bit-identical node arrays. Linked by xfair_tests and the
+// and must produce bit-identical node arrays. Linked by the tests and the
 // benches (xfair_oracles), never by the library.
 
 #ifndef XFAIR_TESTS_ORACLES_TREE_FIT_ORACLE_H_

@@ -36,6 +36,8 @@
 #include "src/util/kdtree.h"
 #include "src/util/rng.h"
 #include "tests/facts_testing.h"
+#include "tests/oracles/subgroup_oracle.h"
+#include "tests/oracles/tree_shap_oracle.h"
 
 namespace xfair {
 namespace {
@@ -297,11 +299,13 @@ TEST(ParallelUnfair, WorstSliceSearchIsThreadCountInvariant) {
   Dataset data = CreditGen(cfg).Generate(500, 510);
   LogisticRegression model;
   ASSERT_TRUE(model.Fit(data).ok());
+  // The lattice engine and the looped oracle, each against itself.
   for (const bool engine : {true, false}) {
-    SliceSearchOptions opts;
-    opts.use_bitset_engine = engine;
     ExpectSameAcrossThreadCounts<WorstSliceReport>(
-        [&] { return WorstSliceSearch(model, data, opts); },
+        [&] {
+          return engine ? WorstSliceSearch(model, data, {})
+                        : oracles::WorstSliceSearchLooped(model, data, {});
+        },
         [](const WorstSliceReport& a, const WorstSliceReport& b) {
           EXPECT_EQ(a.overall_metric, b.overall_metric);
           EXPECT_EQ(a.slices_examined, b.slices_examined);
@@ -406,14 +410,17 @@ TEST(ParallelExplain, ThresholdedSweepIsThreadCountInvariant) {
       [&] {
         Vector both = InterventionalTreeShapThresholded(
             tree, data.x(), rows, weights, z, tree.threshold());
-        const Vector looped = InterventionalTreeShapThresholdedLooped(
+        const Vector looped = oracles::InterventionalTreeShapThresholdedLooped(
             tree, data.x(), rows, weights, z, tree.threshold());
         both.insert(both.end(), looped.begin(), looped.end());
         return both;
       },
-      [](const Vector& a, const Vector& b) {
-        ASSERT_EQ(a.size(), b.size());
+      [d](const Vector& a, const Vector& b) {
+        ASSERT_EQ(a.size(), 2 * d);
+        ASSERT_EQ(b.size(), 2 * d);
         for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+        // At every thread count the sweep matches the looped oracle.
+        for (size_t i = 0; i < d; ++i) EXPECT_EQ(b[i], b[d + i]);
       });
 }
 

@@ -20,6 +20,8 @@
 #include "src/util/kdtree.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/oracles/subgroup_oracle.h"
+#include "tests/oracles/tree_shap_oracle.h"
 
 namespace xfair {
 namespace {
@@ -183,13 +185,11 @@ TEST_F(TreeShapTest, FairnessShapTreeFastPathMatchesGenericEngine) {
   const Dataset data = CreditGen(cfg).Generate(500, 73);
   DecisionTree tree;
   ASSERT_TRUE(tree.Fit(data).ok());
-  FairnessShapOptions fast_opts;  // kMask + fast path by default.
-  FairnessShapOptions slow_opts = fast_opts;
-  slow_opts.use_tree_fast_path = false;
-  const FairnessShapReport fast =
-      ExplainParityWithShapley(tree, data, fast_opts);
+  const FairnessShapOptions opts;  // kMask by default.
+  // Behind the black-box wrapper the tree takes the generic engine.
+  const FairnessShapReport fast = ExplainParityWithShapley(tree, data, opts);
   const FairnessShapReport slow =
-      ExplainParityWithShapley(tree, data, slow_opts);
+      ExplainParityWithShapley(oracles::BlackBoxModel(tree), data, opts);
   // d = 8 <= 10, so the generic engine is ExactShapley: both sides are
   // exact solutions of the same game.
   ExpectNearVector(fast.contributions, slow.contributions, kTol);
@@ -323,7 +323,7 @@ TEST_F(TreeShapTest, ThresholdedSweepMatchesLoopedWalksBitForBit) {
     ASSERT_TRUE(tree.Fit(wide, opts).ok());
     const Vector batched = InterventionalTreeShapThresholded(
         tree, wide.x(), rows, weights, z, tree.threshold());
-    const Vector looped = InterventionalTreeShapThresholdedLooped(
+    const Vector looped = oracles::InterventionalTreeShapThresholdedLooped(
         tree, wide.x(), rows, weights, z, tree.threshold());
     ASSERT_EQ(batched.size(), d);
     ASSERT_EQ(looped.size(), d);
@@ -514,8 +514,8 @@ TEST(KdTree, KnnClassifierIndexAgreesWithBruteForceScan) {
 // --- Gopher bitset lattice engine -------------------------------------
 
 // The vertical-bitset engine must be bit-identical (0 ulp) to the looped
-// BinTable::Matches oracle at every depth, including ragged n % 64 != 0
-// (400 = 6*64 + 16) and exact multiples (448 = 7*64).
+// oracle (tests/oracles/subgroup_oracle.h) at every depth, including
+// ragged n % 64 != 0 (400 = 6*64 + 16) and exact multiples (448 = 7*64).
 TEST(GopherBitsetEngine, MatchesLoopedOracleBitForBitAtEveryDepth) {
   BiasConfig cfg;
   cfg.score_shift = 1.0;
@@ -524,14 +524,13 @@ TEST(GopherBitsetEngine, MatchesLoopedOracleBitForBitAtEveryDepth) {
     LogisticRegression model;
     ASSERT_TRUE(model.Fit(data).ok());
     for (size_t depth : {1u, 2u, 3u, 4u}) {
-      GopherOptions engine_opts;
-      engine_opts.max_conditions = depth;
-      engine_opts.min_support = 0.05;  // Keeps depth 4 tractable.
-      engine_opts.optimistic_prune = false;  // Exact examined counts.
-      GopherOptions oracle_opts = engine_opts;
-      oracle_opts.use_bitset_engine = false;
-      const auto fast = ExplainUnfairnessByPatterns(model, data, engine_opts);
-      const auto slow = ExplainUnfairnessByPatterns(model, data, oracle_opts);
+      GopherOptions opts;
+      opts.max_conditions = depth;
+      opts.min_support = 0.05;  // Keeps depth 4 tractable.
+      opts.optimistic_prune = false;  // Exact examined counts.
+      const auto fast = ExplainUnfairnessByPatterns(model, data, opts);
+      const auto slow =
+          oracles::ExplainUnfairnessByPatternsLooped(model, data, opts);
       ASSERT_TRUE(fast.ok() && slow.ok());
       EXPECT_EQ(fast->patterns_examined, slow->patterns_examined)
           << "n=" << n << " depth=" << depth;
@@ -607,18 +606,17 @@ TEST(GopherBitsetEngine, HighCardinalitySchemaStaysOnFastPath) {
                      std::move(x), std::move(labels), std::move(groups));
   LogisticRegression model;
   ASSERT_TRUE(model.Fit(data).ok());
-  GopherOptions engine_opts;
-  engine_opts.bins = 16;         // Noise columns get 16 quantile bins...
-  engine_opts.min_support = 0.2; // ...all far below the support floor.
-  engine_opts.optimistic_prune = false;
-  GopherOptions oracle_opts = engine_opts;
-  oracle_opts.use_bitset_engine = false;
-  Discretizer disc(data, engine_opts.bins);
+  GopherOptions opts;
+  opts.bins = 16;         // Noise columns get 16 quantile bins...
+  opts.min_support = 0.2; // ...all far below the support floor.
+  opts.optimistic_prune = false;
+  Discretizer disc(data, opts.bins);
   size_t num_sids = 0;
   for (size_t f = 0; f < data.num_features(); ++f) num_sids += disc.NumBins(f);
   ASSERT_GT(num_sids, 4096u);
-  const auto fast = ExplainUnfairnessByPatterns(model, data, engine_opts);
-  const auto slow = ExplainUnfairnessByPatterns(model, data, oracle_opts);
+  const auto fast = ExplainUnfairnessByPatterns(model, data, opts);
+  const auto slow =
+      oracles::ExplainUnfairnessByPatternsLooped(model, data, opts);
   ASSERT_TRUE(fast.ok() && slow.ok());
   EXPECT_EQ(fast->patterns_examined, slow->patterns_examined);
   ASSERT_EQ(fast->patterns.size(), slow->patterns.size());

@@ -23,6 +23,9 @@
 #include "src/unfair/precof.h"
 #include "src/unfair/recourse.h"
 #include "src/unfair/slice_search.h"
+#include "src/util/rng.h"
+#include "tests/oracles/subgroup_oracle.h"
+#include "tests/oracles/tree_shap_oracle.h"
 
 namespace xfair {
 namespace {
@@ -324,9 +327,8 @@ TEST(FairnessShap, RetrainModeRunsAndRanks) {
   EXPECT_NEAR(sum, report.full_gap, 1e-9);
 }
 
-/// FairnessShapBatch and the batched sweep promise bit-identity with their
-/// reference paths, not closeness — compare every report field with
-/// EXPECT_EQ (0 ulp).
+/// FairnessShapBatch promises bit-identity with its reference path, not
+/// closeness — compare every report field with EXPECT_EQ (0 ulp).
 void ExpectReportsBitIdentical(const FairnessShapReport& a,
                                const FairnessShapReport& b) {
   ASSERT_EQ(a.contributions.size(), b.contributions.size());
@@ -344,12 +346,33 @@ TEST(FairnessShap, TreeBatchedSweepMatchesLoopedReferenceBitForBit) {
   const Dataset data = CreditGen(cfg).Generate(1300, 79);
   DecisionTree tree;
   ASSERT_TRUE(tree.Fit(data).ok());
-  FairnessShapOptions batched;  // kMask + tree fast path + batched sweep.
-  batched.background_size = 130;  // sample = all 1300 rows -> ragged tiles.
-  FairnessShapOptions looped = batched;
-  looped.use_batched_sweep = false;
-  ExpectReportsBitIdentical(ExplainParityWithShapley(tree, data, batched),
-                            ExplainParityWithShapley(tree, data, looped));
+  FairnessShapOptions opts;  // kMask: the tree takes the batched sweep.
+  opts.background_size = 130;  // sample = all 1300 rows -> ragged tiles.
+  const FairnessShapReport report = ExplainParityWithShapley(tree, data, opts);
+  // The same game by hand: column-mean background, the seeded row sample,
+  // +-1/count[g] weights; solved by the looped per-row reference.
+  const size_t n = data.size(), d = data.num_features();
+  Vector background(d, 0.0);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t c = 0; c < d; ++c) background[c] += data.x().At(i, c);
+  for (double& v : background) v /= static_cast<double>(n);
+  Rng rng(opts.seed);
+  const size_t sample =
+      std::min<size_t>(n, std::max<size_t>(opts.background_size * 10, 200));
+  const std::vector<size_t> rows = rng.SampleWithoutReplacement(n, sample);
+  size_t count[2] = {0, 0};
+  for (size_t r : rows) ++count[data.group(r)];
+  Vector weights(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    weights[i] = data.group(rows[i]) == 0
+                     ? 1.0 / static_cast<double>(count[0])
+                     : -1.0 / static_cast<double>(count[1]);
+  }
+  const Vector looped = oracles::InterventionalTreeShapThresholdedLooped(
+      tree, data.x(), rows, weights, background, tree.threshold());
+  ASSERT_EQ(report.contributions.size(), looped.size());
+  for (size_t c = 0; c < d; ++c)
+    EXPECT_EQ(report.contributions[c], looped[c]) << "feature " << c;
 }
 
 TEST(FairnessShap, BatchSliceMatchesSubsetExplainBitForBit) {
@@ -518,15 +541,12 @@ TEST(WorstSlice, EngineMatchesLoopedOracleExactly) {
        {SliceMetricKind::kSelectionRate, SliceMetricKind::kAccuracy,
         SliceMetricKind::kTruePositiveRate,
         SliceMetricKind::kFalsePositiveRate}) {
-    SliceSearchOptions engine_opts;
-    engine_opts.metric = metric;
-    engine_opts.top_k = 8;
-    SliceSearchOptions oracle_opts = engine_opts;
-    oracle_opts.use_bitset_engine = false;
-    const WorstSliceReport fast = WorstSliceSearch(f.model, f.data,
-                                                   engine_opts);
-    const WorstSliceReport slow = WorstSliceSearch(f.model, f.data,
-                                                   oracle_opts);
+    SliceSearchOptions opts;
+    opts.metric = metric;
+    opts.top_k = 8;
+    const WorstSliceReport fast = WorstSliceSearch(f.model, f.data, opts);
+    const WorstSliceReport slow =
+        oracles::WorstSliceSearchLooped(f.model, f.data, opts);
     EXPECT_EQ(fast.overall_metric, slow.overall_metric);
     EXPECT_EQ(fast.slices_examined, slow.slices_examined);
     ASSERT_EQ(fast.slices.size(), slow.slices.size());
