@@ -54,7 +54,7 @@ echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
 cmake -B build-noobs -S . -DXFAIR_OBS=OFF > /dev/null
 cmake --build build-noobs -j --target xfair_tests example_monitor_stream
 ./build-noobs/tests/xfair_tests \
-  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*'
+  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*'
 # The same example binary must run with zero monitoring output when the
 # layer is compiled out (no alarms, no summaries, no artifacts) — and
 # the alarm hook bus must never dump a diagnostic bundle.

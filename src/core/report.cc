@@ -11,6 +11,32 @@
 #include "src/util/table.h"
 
 namespace xfair {
+namespace {
+
+/// The four-fifths rule (29 CFR 1607.4(D)): the lower group selection
+/// rate over the higher one fails below 0.8. Symmetric in which group is
+/// coded 1, and undefined when there is no rate to compare against.
+std::string FourFifthsVerdict(const GroupFairnessReport& group) {
+  const Confusion& pos = group.protected_group;
+  const Confusion& neg = group.non_protected_group;
+  if (pos.total() == 0 || neg.total() == 0) {
+    return "undefined (only one group is present)";
+  }
+  const double rate_pos = pos.positive_rate();
+  const double rate_neg = neg.positive_rate();
+  const double high = std::max(rate_pos, rate_neg);
+  if (high <= 0.0) return "undefined (no group receives favorable outcomes)";
+  const double ratio = std::min(rate_pos, rate_neg) / high;
+  std::string out = FormatDouble(ratio) +
+                    (ratio < 0.8 ? " FAILS" : " passes") + " the 80% rule";
+  if (rate_pos != rate_neg) {
+    out += rate_pos < rate_neg ? " (disadvantaged group: G+)"
+                               : " (disadvantaged group: G-)";
+  }
+  return out;
+}
+
+}  // namespace
 
 std::string WriteAuditReport(const Model& model, const Dataset& data,
                              const AuditReportOptions& options) {
@@ -27,10 +53,7 @@ std::string WriteAuditReport(const Model& model, const Dataset& data,
   const GroupFairnessReport group = EvaluateGroupFairness(model, data);
   out += "## Group fairness (Figure 1 metrics)\n\n";
   out += group.ToString();
-  const bool fails_80 = group.disparate_impact_ratio < 0.8;
-  out += std::string("\nVerdict: disparate impact ") +
-         FormatDouble(group.disparate_impact_ratio) +
-         (fails_80 ? " FAILS" : " passes") + " the 80% rule.\n\n";
+  out += "\nVerdict: disparate impact " + FourFifthsVerdict(group) + ".\n\n";
 
   // Effort disparity (burden).
   if (options.include_counterfactual_sections) {

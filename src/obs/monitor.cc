@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
 
 #include "src/obs/eventlog.h"
 #include "src/obs/export.h"
@@ -37,53 +36,12 @@ double CusumState::Update(double x, double k, double h) {
 
 }  // namespace detail
 
-/// Per-thread event storage, the trace.cc ThreadBuffer design: the
-/// owning thread appends without a lock (block addresses are stable, the
-/// entry count is release-published), a tiny mutex guards only the block
-/// list; the drainer reads under that mutex once ingestion has quiesced.
-struct FairnessMonitor::EventBuffer {
-  static constexpr size_t kBlockSize = 1024;
-  using Block = std::array<MonitorEvent, kBlockSize>;
-
-  uint32_t ordinal = 0;  ///< Registration index, for duplicate-seq ties.
-  std::atomic<size_t> size{0};
-  std::mutex block_mutex;
-  std::vector<std::unique_ptr<Block>> blocks;
-
-  void Append(const MonitorEvent& event) {
-    const size_t idx = size.load(std::memory_order_relaxed);
-    if (idx / kBlockSize >= blocks.size()) {
-      std::lock_guard<std::mutex> guard(block_mutex);
-      blocks.emplace_back(new Block());
-    }
-    (*blocks[idx / kBlockSize])[idx % kBlockSize] = event;
-    size.store(idx + 1, std::memory_order_release);
-  }
-};
-
 namespace {
-
-std::atomic<uint64_t> g_next_monitor_uid{1};
 
 std::atomic<bool> g_monitoring_enabled{[] {
   const char* env = std::getenv("XFAIR_MONITOR");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }()};
-
-/// The thread's per-monitor buffers, keyed by monitor uid (uids are
-/// never reused, so stale entries for destroyed monitors are inert).
-struct ThreadBufferCache {
-  uint64_t last_uid = 0;
-  FairnessMonitor::EventBuffer* last_buffer = nullptr;
-  std::unordered_map<uint64_t,
-                     std::shared_ptr<FairnessMonitor::EventBuffer>>
-      by_uid;
-};
-
-[[maybe_unused]] ThreadBufferCache& LocalCache() {
-  thread_local ThreadBufferCache cache;
-  return cache;
-}
 
 /// The group/label arrays MonitorPredictionBatch joins against, per
 /// thread (see ScopedStreamContext).
@@ -116,9 +74,7 @@ void SetMonitoringEnabled(bool enabled) {
 }
 
 FairnessMonitor::FairnessMonitor(std::string name, MonitorOptions options)
-    : uid_(g_next_monitor_uid.fetch_add(1, std::memory_order_relaxed)),
-      name_(std::move(name)),
-      options_(options) {
+    : name_(std::move(name)), options_(options) {
   if (options_.window == 0) options_.window = 1;
   if (options_.detector_stride == 0) options_.detector_stride = 1;
   if (options_.calibration_bins == 0) options_.calibration_bins = 1;
@@ -128,29 +84,11 @@ FairnessMonitor::FairnessMonitor(std::string name, MonitorOptions options)
   detectors_[2].metric = "calibration";
 }
 
-FairnessMonitor::EventBuffer& FairnessMonitor::LocalBuffer() {
-  ThreadBufferCache& cache = LocalCache();
-  if (cache.last_uid == uid_) return *cache.last_buffer;
-  auto it = cache.by_uid.find(uid_);
-  if (it == cache.by_uid.end()) {
-    auto buffer = std::make_shared<EventBuffer>();
-    {
-      std::lock_guard<std::mutex> guard(buffers_mutex_);
-      buffer->ordinal = static_cast<uint32_t>(buffers_.size());
-      buffers_.push_back(buffer);
-    }
-    it = cache.by_uid.emplace(uid_, std::move(buffer)).first;
-  }
-  cache.last_uid = uid_;
-  cache.last_buffer = it->second.get();
-  return *cache.last_buffer;
-}
-
 void FairnessMonitor::Ingest(const MonitorEvent& event) {
 #ifdef XFAIR_OBS_DISABLED
   (void)event;
 #else
-  LocalBuffer().Append(event);
+  log_.Append(event);
 #endif
 }
 
@@ -158,38 +96,19 @@ size_t FairnessMonitor::Drain() {
 #ifdef XFAIR_OBS_DISABLED
   return 0;
 #else
-  std::vector<std::shared_ptr<EventBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> guard(buffers_mutex_);
-    buffers = buffers_;
-  }
-  // (seq, buffer ordinal, in-buffer index) keys the processing order.
-  // Sequence numbers alone define it for well-behaved producers; the
-  // ordinal/index tiebreak only matters for duplicate seqs.
-  struct Keyed {
-    MonitorEvent event;
-    uint32_t ordinal;
-    size_t index;
+  std::vector<MonitorEvent> drained;
+  log_.Drain(&drained);
+  // The log yields (thread registration, ingestion) order, so a stable
+  // sort by seq processes events in (seq, registration, ingestion) order.
+  // Sequence numbers alone define it for well-behaved producers, whose
+  // events usually arrive already sorted.
+  const auto by_seq = [](const MonitorEvent& a, const MonitorEvent& b) {
+    return a.seq < b.seq;
   };
-  std::vector<Keyed> drained;
-  for (const auto& buf : buffers) {
-    std::lock_guard<std::mutex> guard(buf->block_mutex);
-    const size_t n = buf->size.load(std::memory_order_acquire);
-    for (size_t i = 0; i < n; ++i) {
-      drained.push_back(
-          {(*buf->blocks[i / EventBuffer::kBlockSize])[i %
-                                                       EventBuffer::kBlockSize],
-           buf->ordinal, i});
-    }
-    buf->size.store(0, std::memory_order_release);
+  if (!std::is_sorted(drained.begin(), drained.end(), by_seq)) {
+    std::stable_sort(drained.begin(), drained.end(), by_seq);
   }
-  std::sort(drained.begin(), drained.end(),
-            [](const Keyed& a, const Keyed& b) {
-              if (a.event.seq != b.event.seq) return a.event.seq < b.event.seq;
-              if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
-              return a.index < b.index;
-            });
-  for (const Keyed& k : drained) Process(k.event);
+  for (const MonitorEvent& e : drained) Process(e);
   return drained.size();
 #endif
 }
@@ -361,16 +280,7 @@ WindowedMetrics FairnessMonitor::Windowed() const {
 }
 
 void FairnessMonitor::Reset() {
-  // Discard pending (undrained) events from every thread's buffer.
-  std::vector<std::shared_ptr<EventBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> guard(buffers_mutex_);
-    buffers = buffers_;
-  }
-  for (const auto& buf : buffers) {
-    std::lock_guard<std::mutex> guard(buf->block_mutex);
-    buf->size.store(0, std::memory_order_release);
-  }
+  log_.Reset();  // Discards pending (undrained) events.
   ring_pos_ = 0;
   ring_size_ = 0;
   aggregates_ = {};

@@ -18,13 +18,13 @@
 //     mean.
 //
 // Ingestion is lock-free on the hot path: each thread appends to its own
-// chunked buffer (same design as trace.cc), and Drain() — which must not
-// race with ingestion, the FlushSpans contract — merges all buffers and
-// processes events in ascending `seq` order. Because the processed order
-// is a function of the caller-assigned sequence numbers only, every
-// derived quantity (window contents, aggregates, detector state, alarm
-// steps) is deterministic and independent of thread count or ingestion
-// interleaving.
+// shard of the monitor's PerThreadLog (per_thread_log.h), and Drain() —
+// which must not race with ingestion, the FlushSpans contract — drains
+// the log and processes events in ascending `seq` order. Because the
+// processed order is a function of the caller-assigned sequence numbers
+// only, every derived quantity (window contents, aggregates, detector
+// state, alarm steps) is deterministic and independent of thread count
+// or ingestion interleaving.
 //
 // Model wiring: the batched PredictProbaBatch paths call
 // XFAIR_MONITOR_PREDICTIONS after scores are final. The hook is inert
@@ -50,6 +50,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/obs/per_thread_log.h"
 
 namespace xfair::obs {
 
@@ -194,8 +196,9 @@ class FairnessMonitor {
   const std::string& name() const { return name_; }
   const MonitorOptions& options() const { return options_; }
 
-  /// Appends one event to the calling thread's buffer (lock-free after
-  /// the thread's first ingest). No-op under XFAIR_OBS=OFF.
+  /// Appends one event to the calling thread's shard of the log
+  /// (lock-free after the thread's first ingest). No-op under
+  /// XFAIR_OBS=OFF.
   void Ingest(const MonitorEvent& event);
 
   /// Reserves `n` consecutive sequence numbers and returns the first.
@@ -205,9 +208,10 @@ class FairnessMonitor {
     return next_seq_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Drains every thread's buffer and processes the drained events in
-  /// ascending seq order (ties by ingestion ordinal). Must not race with
-  /// Ingest. Returns the number of events processed.
+  /// Drains the log and processes the drained events in ascending seq
+  /// order (ties by the ingesting thread's registration, then ingestion
+  /// order). Must not race with Ingest. Returns the number of events
+  /// processed.
   size_t Drain();
 
   /// Windowed metrics from the current ring contents (O(window) scan
@@ -247,9 +251,9 @@ class FairnessMonitor {
   /// rendering deterministic for identical state. "{}" when disabled.
   std::string SnapshotJson() const;
 
-  /// Per-thread chunked event storage; defined in monitor.cc (exposed
-  /// so the thread-local buffer cache there can name it).
-  struct EventBuffer;
+  /// Shards the ingestion log holds (live ingesting threads plus exited
+  /// ones not yet drained); for tests.
+  size_t log_shards() const { return log_.shard_count(); }
 
  private:
   struct Detector {
@@ -258,21 +262,13 @@ class FairnessMonitor {
     detail::CusumState cusum;
   };
 
-  EventBuffer& LocalBuffer();
   void Process(const MonitorEvent& event);
   void UpdateDetectors(uint64_t seq);
 
-  /// Process-unique id, never reused: thread-local buffer caches key on
-  /// it so a monitor allocated at a destroyed monitor's address cannot
-  /// inherit the old monitor's buffers.
-  const uint64_t uid_;
   std::string name_;
   MonitorOptions options_;
   std::atomic<uint64_t> next_seq_{0};
-
-  // Ingestion side: per-thread chunked buffers (trace.cc design).
-  std::mutex buffers_mutex_;
-  std::vector<std::shared_ptr<EventBuffer>> buffers_;
+  PerThreadLog<MonitorEvent> log_;  ///< Ingestion side.
 
   // Alarm hook bus; the mutex guards registration only (invocation
   // copies the list and runs on the drain thread).

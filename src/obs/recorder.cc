@@ -1,6 +1,5 @@
 #include "src/obs/recorder.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -13,46 +12,15 @@
 #include "src/obs/export.h"
 #include "src/obs/exposition.h"
 #include "src/obs/monitor.h"
+#include "src/obs/per_thread_log.h"
 
 namespace xfair::obs {
 namespace {
 
-/// One thread's flight ring. The owning thread overwrites slots and
-/// release-publishes the monotone write count; snapshotters read under
-/// the quiesced-recording contract. Slot storage is only mutated by
-/// SetRecorderRingCapacity, which shares that contract.
-struct FlightRing {
-  uint64_t uid = 0;  ///< Registration order; the drain sort key.
-  std::vector<SpanRecord> slots;
-  std::atomic<uint64_t> writes{0};
-};
-
-struct RingRegistry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<FlightRing>> rings;
-  uint64_t next_uid = 0;
-  size_t capacity = 4096;
-};
-
-RingRegistry& GlobalRings() {
-  static RingRegistry* r = new RingRegistry();
-  return *r;
-}
-
-/// This thread's ring, registered on first use (shared_ptr keeps it
-/// alive after thread exit, so a worker's trailing spans survive a pool
-/// resize — same rationale as trace.cc).
-FlightRing& LocalRing() {
-  thread_local std::shared_ptr<FlightRing> ring = [] {
-    auto r = std::make_shared<FlightRing>();
-    RingRegistry& reg = GlobalRings();
-    std::lock_guard<std::mutex> guard(reg.mutex);
-    r->uid = reg.next_uid++;
-    r->slots.resize(std::max<size_t>(1, reg.capacity));
-    reg.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
+/// The flight log (process lifetime): each thread's trailing spans.
+PerThreadLog<SpanRecord>& FlightLog() {
+  static auto* log = new PerThreadLog<SpanRecord>(kFlightSpansPerThread);
+  return *log;
 }
 
 std::atomic<bool> g_enabled{false};
@@ -133,59 +101,11 @@ void SetRecorderEnabled(bool enabled) {
 #endif
 }
 
-void SetRecorderRingCapacity(size_t capacity) {
-  RingRegistry& reg = GlobalRings();
-  std::lock_guard<std::mutex> guard(reg.mutex);
-  reg.capacity = std::max<size_t>(1, capacity);
-  for (const auto& ring : reg.rings) {
-    ring->slots.assign(reg.capacity, SpanRecord{});
-    ring->writes.store(0, std::memory_order_release);
-  }
-}
-
-size_t RecorderRingCapacity() {
-  RingRegistry& reg = GlobalRings();
-  std::lock_guard<std::mutex> guard(reg.mutex);
-  return reg.capacity;
-}
-
 std::vector<SpanRecord> SnapshotFlightSpans() {
-  std::vector<std::shared_ptr<FlightRing>> rings;
-  {
-    RingRegistry& reg = GlobalRings();
-    std::lock_guard<std::mutex> guard(reg.mutex);
-    rings = reg.rings;
-  }
-  std::sort(rings.begin(), rings.end(),
-            [](const auto& a, const auto& b) { return a->uid < b->uid; });
-  std::vector<SpanRecord> out;
-  for (const auto& ring : rings) {
-    const uint64_t w = ring->writes.load(std::memory_order_acquire);
-    const uint64_t cap = ring->slots.size();
-    const uint64_t n = std::min(w, cap);
-    const uint64_t start = w - n;  // Oldest retained absolute index.
-    for (uint64_t i = 0; i < n; ++i) {
-      out.push_back(ring->slots[(start + i) % cap]);
-    }
-  }
-  return out;
+  return FlightLog().Snapshot();
 }
 
-uint64_t FlightSpansDropped() {
-  std::vector<std::shared_ptr<FlightRing>> rings;
-  {
-    RingRegistry& reg = GlobalRings();
-    std::lock_guard<std::mutex> guard(reg.mutex);
-    rings = reg.rings;
-  }
-  uint64_t dropped = 0;
-  for (const auto& ring : rings) {
-    const uint64_t w = ring->writes.load(std::memory_order_acquire);
-    const uint64_t cap = ring->slots.size();
-    if (w > cap) dropped += w - cap;
-  }
-  return dropped;
-}
+uint64_t FlightSpansDropped() { return FlightLog().Dropped(); }
 
 std::vector<CounterSnapshot> RecorderCounterDeltas() {
   std::map<std::string, uint64_t> baseline;
@@ -204,15 +124,7 @@ std::vector<CounterSnapshot> RecorderCounterDeltas() {
 }
 
 void ResetRecorder() {
-  std::vector<std::shared_ptr<FlightRing>> rings;
-  {
-    RingRegistry& reg = GlobalRings();
-    std::lock_guard<std::mutex> guard(reg.mutex);
-    rings = reg.rings;
-  }
-  for (const auto& ring : rings) {
-    ring->writes.store(0, std::memory_order_release);
-  }
+  FlightLog().Reset();
   CaptureCounterBaseline();
 }
 
@@ -333,12 +245,9 @@ size_t InstallBundleDumpOnAlarm(FairnessMonitor& monitor,
 
 namespace detail {
 
-void RecordFlightSpan(const SpanRecord& rec) {
-  FlightRing& ring = LocalRing();
-  const uint64_t w = ring.writes.load(std::memory_order_relaxed);
-  ring.slots[w % ring.slots.size()] = rec;
-  ring.writes.store(w + 1, std::memory_order_release);
-}
+void RecordFlightSpan(const SpanRecord& rec) { FlightLog().Append(rec); }
+
+size_t FlightLogShards() { return FlightLog().shard_count(); }
 
 }  // namespace detail
 

@@ -9,19 +9,17 @@
 // active RunReport provenance — into one self-contained bundle directory
 // that an auditor can replay without access to the live process.
 //
-// Recording path: each thread owns a fixed-capacity ring of SpanRecords
-// (steady-clock timestamps, same epoch as the tracer). The owner
-// overwrites the oldest slot and release-publishes a monotone write
-// count; no locks, no allocation after the first span. Span destructors
-// feed the ring whenever RecorderEnabled() — independently of tracing,
-// so the recorder can stay on in production while full tracing stays
-// off.
+// Recording path: the flight log is a PerThreadLog<SpanRecord>
+// (per_thread_log.h) with the fixed policy: each thread keeps its
+// trailing 4096 spans (steady-clock timestamps, same epoch as the
+// tracer), overwriting the oldest; no locks, no allocation once a
+// thread's ring is full. Span destructors feed it whenever
+// RecorderEnabled() — independently of tracing, so the recorder can stay
+// on in production while full tracing stays off.
 //
-// Drain order is deterministic: rings sort by their registration uid and
-// each ring yields its retained records in append order, i.e. keyed by
-// (thread uid, per-thread span seq) — the same discipline as the
-// monitor's ingestion path. SnapshotFlightSpans must not race with span
-// recording (the FlushSpans contract: call between parallel regions).
+// Snapshot order is deterministic: threads in registration order, each
+// in append order. SnapshotFlightSpans must not race with span recording
+// (the FlushSpans contract: call between parallel regions).
 //
 // Enabling the recorder snapshots every counter as the delta baseline;
 // RecorderCounterDeltas() reports what advanced since, so a bundle shows
@@ -55,17 +53,12 @@ bool RecorderEnabled();
 /// the counter-delta baseline (see RecorderCounterDeltas).
 void SetRecorderEnabled(bool enabled);
 
-/// Per-thread ring capacity (trailing spans kept per thread; default
-/// 4096). Resizes existing rings and discards their contents, so call it
-/// only while no spans are recording (the FlushSpans contract).
-void SetRecorderRingCapacity(size_t capacity);
-
-/// Current per-thread ring capacity.
-size_t RecorderRingCapacity();
+/// Trailing spans the flight log keeps per thread.
+inline constexpr size_t kFlightSpansPerThread = 4096;
 
 /// The retained trailing spans of every thread, in deterministic
-/// (thread uid, per-thread append order) order. Non-destructive. Must
-/// not race with span recording.
+/// (thread registration, append) order. Non-destructive. Must not race
+/// with span recording.
 std::vector<SpanRecord> SnapshotFlightSpans();
 
 /// Spans overwritten (lost to the ring bound) since the last reset.
@@ -75,8 +68,9 @@ uint64_t FlightSpansDropped();
 /// ResetRecorder), as (name, increment) sorted by name.
 std::vector<CounterSnapshot> RecorderCounterDeltas();
 
-/// Clears every ring, the dropped count, and re-captures the counter
-/// baseline. Must not race with span recording.
+/// Clears the flight log and the dropped count (freeing the rings of
+/// exited threads), and re-captures the counter baseline. Must not race
+/// with span recording.
 void ResetRecorder();
 
 /// Sets the provenance JSON object embedded in bundles (the active
@@ -119,9 +113,13 @@ size_t InstallBundleDumpOnAlarm(FairnessMonitor& monitor,
                                 BundleOptions options = {});
 
 namespace detail {
-/// Called by Span::~Span when RecorderEnabled(): appends to the calling
-/// thread's flight ring.
+/// Called by Span::~Span when RecorderEnabled(): appends to the flight
+/// log.
 void RecordFlightSpan(const SpanRecord& rec);
+
+/// Shards the flight log holds (live recording threads plus exited ones
+/// not yet reset); for tests.
+size_t FlightLogShards();
 }  // namespace detail
 
 }  // namespace xfair::obs

@@ -1,14 +1,12 @@
 #include "src/obs/trace.h"
 
+#include "src/obs/per_thread_log.h"
 #include "src/obs/recorder.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 
 namespace xfair::obs {
 namespace {
@@ -23,57 +21,25 @@ uint64_t NowNs() {
           .count());
 }
 
-/// Per-thread span storage. Only the owning thread writes records and
-/// bumps `size`; the flusher reads under `block_mutex` + an acquire load
-/// of `size`, so completed entries are safely visible once recording on
-/// other threads has quiesced (see trace.h contract).
-struct ThreadBuffer {
-  static constexpr size_t kBlockSize = 4096;
-  using Block = std::array<SpanRecord, kBlockSize>;
-
-  uint32_t ordinal = 0;
-  std::atomic<size_t> size{0};
-  std::mutex block_mutex;  ///< Guards the block list structure only.
-  std::vector<std::unique_ptr<Block>> blocks;
-
-  // Owner-thread-only state.
-  uint64_t next_id = 1;
-  std::vector<uint64_t> open_stack;  ///< Ids of currently open spans.
-
-  void Append(const SpanRecord& rec) {
-    const size_t idx = size.load(std::memory_order_relaxed);
-    if (idx / kBlockSize >= blocks.size()) {
-      std::lock_guard<std::mutex> guard(block_mutex);
-      blocks.emplace_back(new Block());
-    }
-    (*blocks[idx / kBlockSize])[idx % kBlockSize] = rec;
-    size.store(idx + 1, std::memory_order_release);
-  }
-};
-
-struct BufferRegistry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-};
-
-BufferRegistry& GlobalRegistry() {
-  static BufferRegistry* r = new BufferRegistry();
-  return *r;
+/// The tracer's growing log (process lifetime).
+PerThreadLog<SpanRecord>& TraceLog() {
+  static auto* log = new PerThreadLog<SpanRecord>();
+  return *log;
 }
 
-/// This thread's buffer, registered on first use. The shared_ptr in the
-/// registry keeps the buffer alive after the thread exits (pool workers
-/// are joined and recreated on resize), so un-flushed spans survive.
-ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto b = std::make_shared<ThreadBuffer>();
-    BufferRegistry& reg = GlobalRegistry();
-    std::lock_guard<std::mutex> guard(reg.mutex);
-    b->ordinal = static_cast<uint32_t>(reg.buffers.size());
-    reg.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
+/// Per-thread span state: the thread's ordinal (assigned at its first
+/// span, never reused), the next span id, and the open-span stack.
+struct ThreadSpans {
+  uint32_t ordinal = 0;
+  uint64_t next_id = 1;
+  std::vector<uint64_t> open_stack;  ///< Ids of currently open spans.
+};
+
+ThreadSpans& LocalSpans() {
+  static std::atomic<uint32_t> next_ordinal{0};
+  thread_local ThreadSpans spans{
+      next_ordinal.fetch_add(1, std::memory_order_relaxed), 1, {}};
+  return spans;
 }
 
 std::atomic<bool> g_enabled{[] {
@@ -90,29 +56,10 @@ void SetTracingEnabled(bool enabled) {
 }
 
 std::vector<SpanRecord> FlushSpans() {
-  // Copy the registered buffer list, then drain each. New threads that
-  // register mid-flush are picked up by the next flush.
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    BufferRegistry& reg = GlobalRegistry();
-    std::lock_guard<std::mutex> guard(reg.mutex);
-    buffers = reg.buffers;
-  }
   std::vector<SpanRecord> out;
-  for (const auto& buf : buffers) {
-    std::lock_guard<std::mutex> guard(buf->block_mutex);
-    const size_t n = buf->size.load(std::memory_order_acquire);
-    for (size_t i = 0; i < n; ++i) {
-      out.push_back(
-          (*buf->blocks[i / ThreadBuffer::kBlockSize])[i %
-                                                       ThreadBuffer::kBlockSize]);
-    }
-    buf->size.store(0, std::memory_order_release);
-  }
-  // Buffers were visited in registration (ordinal) order and each drains
-  // in append order; records close in LIFO order per thread, so sort into
-  // the documented (thread ordinal, id) order for a stable, open-order
-  // view.
+  TraceLog().Drain(&out);
+  // Records close in LIFO order per thread; sort into the documented
+  // (thread ordinal, id) order for a stable, open-order view.
   std::sort(out.begin(), out.end(), [](const SpanRecord& a,
                                        const SpanRecord& b) {
     return a.thread_ordinal != b.thread_ordinal
@@ -122,31 +69,33 @@ std::vector<SpanRecord> FlushSpans() {
   return out;
 }
 
+size_t detail::TraceLogShards() { return TraceLog().shard_count(); }
+
 Span::Span(const char* name) : name_(name) {
   const bool trace = TracingEnabled();
   const bool flight = RecorderEnabled();
   if (!trace && !flight) return;
-  ThreadBuffer& buf = LocalBuffer();
+  ThreadSpans& spans = LocalSpans();
   active_ = trace;
   to_flight_ = flight;
-  id_ = buf.next_id++;
-  parent_id_ = buf.open_stack.empty() ? 0 : buf.open_stack.back();
-  depth_ = static_cast<uint32_t>(buf.open_stack.size());
-  buf.open_stack.push_back(id_);
+  id_ = spans.next_id++;
+  parent_id_ = spans.open_stack.empty() ? 0 : spans.open_stack.back();
+  depth_ = static_cast<uint32_t>(spans.open_stack.size());
+  spans.open_stack.push_back(id_);
   start_ns_ = NowNs();
 }
 
 Span::~Span() {
   if (!active_ && !to_flight_) return;
   const uint64_t end = NowNs();
-  ThreadBuffer& buf = LocalBuffer();
+  ThreadSpans& spans = LocalSpans();
   // Defensive: the stack top must be this span (RAII guarantees LIFO).
-  if (!buf.open_stack.empty() && buf.open_stack.back() == id_) {
-    buf.open_stack.pop_back();
+  if (!spans.open_stack.empty() && spans.open_stack.back() == id_) {
+    spans.open_stack.pop_back();
   }
-  const SpanRecord rec{name_,  start_ns_, end,       buf.ordinal,
+  const SpanRecord rec{name_,  start_ns_, end,       spans.ordinal,
                        depth_, id_,       parent_id_};
-  if (active_) buf.Append(rec);
+  if (active_) TraceLog().Append(rec);
   if (to_flight_) detail::RecordFlightSpan(rec);
 }
 

@@ -980,5 +980,84 @@ TEST(ParallelObs, FlightSpanNameMultisetIsThreadCountInvariant) {
   obs::ResetRecorder();
 }
 
+TEST(ParallelObs, PerThreadLogKeepsEveryWorkerAppend) {
+  // The log under all three sinks, appended to directly from pool
+  // workers: the TSan stage of scripts/verify.sh certifies the template
+  // itself race-free. Every append lands once in the growing log; the
+  // fixed log keeps at most its capacity per shard and counts the rest.
+  ThreadGuard guard;
+  const size_t n = 5000;
+  for (size_t threads : {1u, 2u, 8u}) {
+    SetParallelThreads(threads);
+    obs::PerThreadLog<uint64_t> growing;
+    obs::PerThreadLog<uint64_t> ring(64);
+    ParallelFor(0, n, [&](size_t i) {
+      growing.Append(i);
+      ring.Append(i);
+    });
+    std::vector<uint64_t> all;
+    growing.Drain(&all);
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), n) << "threads " << threads;
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(all[i], i);
+    const std::vector<uint64_t> kept = ring.Snapshot();
+    EXPECT_LE(kept.size(), 64 * ring.shard_count());
+    EXPECT_EQ(kept.size() + ring.Dropped(), n) << "threads " << threads;
+    EXPECT_LE(growing.shard_count(), threads);
+  }
+}
+
+TEST(ParallelObs, LogsFreeTheShardsOfExitedThreads) {
+  // Pool resizes retire worker threads. Their spans stay until flushed
+  // (tracer) or reset (recorder), and their monitor events until drained;
+  // after that no log holds more shards than there are live threads.
+  // 64 bodies a round keep even the caller's ring (it may run every
+  // body) below the flight capacity.
+  ThreadGuard guard;
+  const size_t bodies = 64;
+  obs::SetTracingEnabled(false);
+  obs::FlushSpans();
+  obs::ResetRecorder();
+  obs::SetTracingEnabled(true);
+  obs::SetRecorderEnabled(true);
+  for (size_t round = 0; round < 20; ++round) {
+    SetParallelThreads(round % 2 == 0 ? 4 : 3);
+    ParallelFor(0, bodies, [&](size_t) {
+      XFAIR_SPAN("parallel_test/resize_body");
+    });
+  }
+  obs::SetTracingEnabled(false);
+  obs::SetRecorderEnabled(false);
+  const auto count_bodies = [](const std::vector<obs::SpanRecord>& spans) {
+    return static_cast<size_t>(
+        std::count_if(spans.begin(), spans.end(), [](const auto& s) {
+          return s.name == std::string("parallel_test/resize_body");
+        }));
+  };
+#ifndef XFAIR_OBS_DISABLED
+  // Retired workers' trailing spans are still in the flight log.
+  EXPECT_EQ(obs::FlightSpansDropped(), 0u);
+  EXPECT_EQ(count_bodies(obs::SnapshotFlightSpans()), 20 * bodies);
+  EXPECT_EQ(count_bodies(obs::FlushSpans()), 20 * bodies);
+#endif
+  obs::ResetRecorder();
+  EXPECT_LE(obs::detail::TraceLogShards(), ParallelThreads());
+  EXPECT_LE(obs::detail::FlightLogShards(), ParallelThreads());
+
+  for (size_t round = 0; round < 20; ++round) {
+    SetParallelThreads(4);
+    obs::FairnessMonitor monitor("parallel_test/leak");
+    ParallelFor(0, size_t{1024}, [&](size_t i) {
+      monitor.Ingest({i, 0.5, 1, -1, static_cast<int>(i % 2)});
+    });
+    SetParallelThreads(2);
+    monitor.Drain();
+#ifndef XFAIR_OBS_DISABLED
+    EXPECT_EQ(monitor.events_processed(), 1024u);
+#endif
+    EXPECT_LE(monitor.log_shards(), ParallelThreads());
+  }
+}
+
 }  // namespace
 }  // namespace xfair

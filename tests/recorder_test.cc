@@ -36,7 +36,7 @@ using obs::Severity;
 using obs::SpanRecord;
 
 /// Restores the recorder and event log to their shipped-off defaults
-/// (and the default ring/log capacities) when a test exits, so suites
+/// (and the default event-log capacity) when a test exits, so suites
 /// never observe each other's trailing state.
 struct ObsGuard {
   ObsGuard() { Clear(); }
@@ -44,7 +44,6 @@ struct ObsGuard {
   static void Clear() {
     obs::SetRecorderEnabled(false);
     obs::SetEventLogEnabled(false);
-    obs::SetRecorderRingCapacity(4096);
     obs::SetEventLogCapacity(65536);
     obs::ResetRecorder();
     obs::ResetEventLog();
@@ -61,9 +60,9 @@ std::string ReadFile(const fs::path& path) {
 
 TEST(Recorder, RingRetainsTrailingSpansInAppendOrder) {
   ObsGuard guard;
-  obs::SetRecorderRingCapacity(8);
+  const size_t kept = obs::kFlightSpansPerThread;
   obs::SetRecorderEnabled(true);
-  for (int i = 0; i < 20; ++i) {
+  for (size_t i = 0; i < kept + 12; ++i) {
     XFAIR_SPAN("recorder_test/trailing");
   }
   obs::SetRecorderEnabled(false);
@@ -73,14 +72,16 @@ TEST(Recorder, RingRetainsTrailingSpansInAppendOrder) {
   EXPECT_EQ(obs::FlightSpansDropped(), 0u);
   EXPECT_FALSE(obs::RecorderEnabled());
 #else
-  // Only the trailing 8 of 20 survive; the overwritten 12 are counted.
-  ASSERT_EQ(spans.size(), 8u);
+  // Only the trailing `kept` survive; the overwritten 12 are counted.
+  ASSERT_EQ(spans.size(), kept);
   EXPECT_EQ(obs::FlightSpansDropped(), 12u);
   for (size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(spans[i].name, std::string("recorder_test/trailing"));
     if (i > 0) {
-      // Append order within the ring: monotone start timestamps.
+      // Append order within the ring: monotone start timestamps, and
+      // consecutive ids (the window is exactly the trailing spans).
       EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+      EXPECT_EQ(spans[i].id, spans[i - 1].id + 1);
     }
   }
   // The snapshot is non-destructive and stable.

@@ -45,6 +45,87 @@ TEST(AuditReport, DeterministicForSameSeed) {
   EXPECT_EQ(WriteAuditReport(model, data), WriteAuditReport(model, data));
 }
 
+/// The report's verdict line, without its trailing newline.
+std::string VerdictLine(const std::string& report) {
+  const size_t at = report.find("Verdict: ");
+  if (at == std::string::npos) return "";
+  return report.substr(at, report.find('\n', at) - at);
+}
+
+/// Predicts favorable exactly for rows whose protected column is set.
+class FavorsProtectedColumn final : public Model {
+ public:
+  explicit FavorsProtectedColumn(size_t column) : column_(column) {}
+  double PredictProba(const Vector& x) const override {
+    return x[column_] >= 0.5 ? 0.9 : 0.1;
+  }
+  std::string name() const override { return "favors_protected"; }
+
+ private:
+  size_t column_;
+};
+
+/// Never predicts the favorable class.
+class AlwaysDeny final : public Model {
+ public:
+  double PredictProba(const Vector&) const override { return 0.1; }
+  std::string name() const override { return "always_deny"; }
+};
+
+AuditReportOptions GroupSectionsOnly() {
+  AuditReportOptions opts;
+  opts.include_counterfactual_sections = false;
+  return opts;
+}
+
+TEST(AuditReport, VerdictIsSymmetricInGroupCoding) {
+  // Swapping which group is coded 1 swaps the two selection rates; the
+  // four-fifths ratio min/max and the verdict must not move, and the
+  // named disadvantaged group must follow the people, not the code.
+  Dataset data = CreditGen().Generate(2000, 1);
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(data).ok());
+  std::vector<int> swapped = data.groups();
+  for (int& g : swapped) g = 1 - g;
+  const Dataset mirrored(data.schema(), data.x(), data.labels(), swapped);
+  const std::string verdict =
+      VerdictLine(WriteAuditReport(model, data, GroupSectionsOnly()));
+  const std::string mirrored_verdict =
+      VerdictLine(WriteAuditReport(model, mirrored, GroupSectionsOnly()));
+  EXPECT_NE(verdict.find("FAILS the 80% rule (disadvantaged group: G+)"),
+            std::string::npos)
+      << verdict;
+  std::string expected = verdict;
+  expected.replace(expected.find("G+"), 2, "G-");
+  EXPECT_EQ(mirrored_verdict, expected);
+}
+
+TEST(AuditReport, VerdictIsUndefinedWhenNoGroupIsFavored) {
+  Dataset data = CreditGen().Generate(300, 804);
+  AlwaysDeny model;
+  const std::string verdict =
+      VerdictLine(WriteAuditReport(model, data, GroupSectionsOnly()));
+  EXPECT_EQ(verdict,
+            "Verdict: disparate impact undefined (no group receives "
+            "favorable outcomes).");
+}
+
+TEST(AuditReport, VerdictFailsWhenOnlyTheProtectedGroupIsFavored) {
+  // rate(G-) = 0 < rate(G+): the signed ratio rate(G+)/rate(G-) has a
+  // zero denominator, but the four-fifths ratio is 0 and fails.
+  Dataset data = CreditGen().Generate(300, 805);
+  FavorsProtectedColumn model(
+      static_cast<size_t>(data.schema().sensitive_index()));
+  const GroupFairnessReport group = EvaluateGroupFairness(model, data);
+  ASSERT_EQ(group.non_protected_group.positive_rate(), 0.0);
+  ASSERT_GT(group.protected_group.positive_rate(), 0.0);
+  const std::string verdict =
+      VerdictLine(WriteAuditReport(model, data, GroupSectionsOnly()));
+  EXPECT_EQ(verdict,
+            "Verdict: disparate impact 0.000 FAILS the 80% rule "
+            "(disadvantaged group: G-).");
+}
+
 TEST(UmbrellaHeader, ExposesEveryLayer) {
   // One symbol per layer: compiling this test is most of the assertion.
   Rng rng(7);

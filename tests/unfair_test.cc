@@ -601,7 +601,9 @@ TEST(WorstSlice, LatticeWalkPrunesZeroSupportSingles) {
       [&](size_t, const LatticeNode& node) {
         // Dead singles never materialize (intersections can still be
         // empty at depth 2 — only the singles level is pre-pruned).
-        if (node.depth == 1) EXPECT_GT(node.support, 0u);
+        if (node.depth == 1) {
+          EXPECT_GT(node.support, 0u);
+        }
         ++seen;
         return true;
       });
