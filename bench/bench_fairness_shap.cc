@@ -161,7 +161,7 @@ void PrintOnce() {
                        : -1.0 / static_cast<double>(count[1]);
     }
     const double tau = audit_model.threshold();
-    const std::string extra = MeasureThroughputExtra(
+    const obs::Json extra = MeasureThroughputExtra(
         "audit_rows", kAuditRows,
         [&] {
           benchmark::DoNotOptimize(InterventionalTreeShapThresholded(

@@ -102,7 +102,7 @@ void PrintOnce() {
       benchmark::DoNotOptimize(
           oracles::ExplainUnfairnessByPatternsLooped(model, data, engine));
     };
-    const std::string extra =
+    const obs::Json extra =
         MeasureThroughputExtra("candidates", candidates, run_engine,
                                run_oracle);
     RecordAlgoSpeedup("gopher", run_oracle, run_engine, 3, extra);

@@ -30,7 +30,8 @@
 #include <functional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/obs/obs.h"
 #include "src/util/parallel.h"
@@ -60,76 +61,52 @@ inline size_t BenchThreads() {
   return 4;
 }
 
-/// Per-stage breakdown of one profiled run, JSON-ready. Captured by
-/// running the workload once more with tracing force-enabled: "stages" is
-/// the span aggregate (total/self wall ms per XFAIR_SPAN name) and
-/// "counters" holds the counters that advanced during the run. Purely
-/// observational — the timed measurements above never run with tracing on.
-struct ProfiledRun {
-  std::string stages_json = "[]";    ///< Array of stage objects.
-  std::string counters_json = "{}";  ///< Object of counter deltas.
-};
+inline obs::Json Ms(double ms) { return obs::Json::Fixed(ms, 3); }
 
-inline ProfiledRun ProfileWorkload(const std::function<void()>& workload) {
-  std::unordered_map<std::string, uint64_t> before;
-  for (const auto& c : obs::SnapshotCounters()) before[c.name] = c.value;
+/// Runs the workload once more with tracing force-enabled and adds its
+/// "stages" (the span aggregate: total/self wall ms per XFAIR_SPAN name)
+/// and "counters" (the counters that advanced during the run) to `*doc`.
+/// Purely observational — the timed measurements never run with tracing
+/// on.
+inline void ProfileWorkload(const std::function<void()>& workload,
+                            obs::Json* doc) {
+  const std::vector<obs::CounterSnapshot> before = obs::SnapshotCounters();
   obs::FlushSpans();  // Discard anything recorded before the profile run.
   const bool was_tracing = obs::TracingEnabled();
   obs::SetTracingEnabled(true);
   workload();
   obs::SetTracingEnabled(was_tracing);
-  ProfiledRun out;
-  out.stages_json = obs::StagesToJson(obs::AggregateStages(obs::FlushSpans()));
-  std::string deltas = "{";
-  bool first = true;
-  for (const auto& c : obs::SnapshotCounters()) {
-    const auto it = before.find(c.name);
-    const uint64_t delta =
-        it == before.end() ? c.value : c.value - it->second;
-    if (delta == 0) continue;
-    deltas += first ? "\n" : ",\n";
-    first = false;
-    deltas += "    \"" + c.name + "\": " + std::to_string(delta);
+  (*doc)["stages"] = obs::Json::Raw(
+      obs::StagesToJson(obs::AggregateStages(obs::FlushSpans())));
+  obs::Json& counters = (*doc)["counters"];
+  for (const obs::CounterSnapshot& c : obs::CounterDeltas(before)) {
+    counters[c.name] = c.value;
   }
-  deltas += first ? "}" : "\n  }";
-  out.counters_json = std::move(deltas);
-  return out;
 }
 
+/// Adds the timing fields to `doc` (extra fields plus the profile) and
+/// writes it as BENCH_<name>.json.
 inline void WriteBenchJson(const std::string& name, double baseline_ms,
                            double optimized_ms, double serial_ms,
                            double parallel_ms, size_t threads,
-                           const ProfiledRun& profile = {},
-                           const std::string& extra_json = "") {
+                           obs::Json doc) {
   const double algo_speedup =
       optimized_ms > 0.0 ? baseline_ms / optimized_ms : 0.0;
   const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+  doc["bench"] = name;
+  doc["baseline_ms"] = Ms(baseline_ms);
+  doc["optimized_ms"] = Ms(optimized_ms);
+  doc["algo_speedup"] = obs::Json::Fixed(algo_speedup, 3);
+  doc["serial_ms"] = Ms(serial_ms);
+  doc["parallel_ms"] = Ms(parallel_ms);
+  doc["speedup"] = obs::Json::Fixed(speedup, 3);
+  doc["threads"] = threads;
+  doc["hardware_concurrency"] = std::thread::hardware_concurrency();
   const std::string path = "BENCH_" + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_json: cannot write %s\n", path.c_str());
+  if (Status st = obs::WriteTextFile(path, doc.Dump() + "\n"); !st.ok()) {
+    std::fprintf(stderr, "bench_json: %s\n", st.ToString().c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"%s\",\n"
-               "  \"baseline_ms\": %.3f,\n"
-               "  \"optimized_ms\": %.3f,\n"
-               "  \"algo_speedup\": %.3f,\n"
-               "  \"serial_ms\": %.3f,\n"
-               "  \"parallel_ms\": %.3f,\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"threads\": %zu,\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "%s"
-               "  \"stages\": %s,\n"
-               "  \"counters\": %s\n"
-               "}\n",
-               name.c_str(), baseline_ms, optimized_ms, algo_speedup,
-               serial_ms, parallel_ms, speedup, threads,
-               std::thread::hardware_concurrency(), extra_json.c_str(),
-               profile.stages_json.c_str(), profile.counters_json.c_str());
-  std::fclose(f);
   std::printf("[bench_json] %s: baseline %.1f ms, optimized %.1f ms "
               "(algo %.2fx); serial %.1f ms, %zu-thread %.1f ms "
               "(threads %.2fx) -> %s\n",
@@ -152,23 +129,17 @@ inline void RecordParallelSpeedup(const std::string& name,
   const double serial_ms = bench_json_internal::TimeMs(workload, repeats);
   SetParallelThreads(threads);
   const double parallel_ms = bench_json_internal::TimeMs(workload, repeats);
-  const auto profile = bench_json_internal::ProfileWorkload(workload);
+  obs::Json doc;
+  bench_json_internal::ProfileWorkload(workload, &doc);
   SetParallelThreads(0);
   bench_json_internal::WriteBenchJson(name, serial_ms, serial_ms, serial_ms,
-                                      parallel_ms, threads, profile);
+                                      parallel_ms, threads, std::move(doc));
 }
 
-/// Times `baseline` and `optimized` with the pool pinned to one worker —
-/// so algo_speedup = baseline_ms / optimized_ms is a pure
-/// algorithmic-improvement ratio, uncontaminated by threading — then
-/// re-times `optimized` at XFAIR_BENCH_THREADS workers for the thread-
-/// scaling fields, and writes BENCH_<name>.json. `extra_json` is spliced
-/// into the artifact verbatim as additional top-level fields; it must be
-/// empty or a sequence of `  "key": value,\n` lines.
 /// Measures a batch workload's throughput against a looped per-instance
 /// equivalent (both pinned to one worker, best of `repeats`), and returns
-/// the first-class throughput fields as extra_json lines for
-/// RecordAlgoSpeedup / WriteBenchJson:
+/// the first-class throughput fields as an object for RecordAlgoSpeedup's
+/// `extra`:
 ///
 ///   "<unit>_per_sec"         batch items per second,
 ///   "<unit>_per_sec_looped"  looped items per second,
@@ -177,10 +148,10 @@ inline void RecordParallelSpeedup(const std::string& name,
 ///   "batch_items"            items per call.
 ///
 /// Restores the pool to its environment default before returning.
-inline std::string MeasureThroughputExtra(const char* unit, size_t items,
-                                          const std::function<void()>& batch,
-                                          const std::function<void()>& looped,
-                                          int repeats = 3) {
+inline obs::Json MeasureThroughputExtra(const char* unit, size_t items,
+                                        const std::function<void()>& batch,
+                                        const std::function<void()>& looped,
+                                        int repeats = 3) {
   SetParallelThreads(1);
   const double batch_ms = bench_json_internal::TimeMs(batch, repeats);
   const double looped_ms = bench_json_internal::TimeMs(looped, repeats);
@@ -194,34 +165,35 @@ inline std::string MeasureThroughputExtra(const char* unit, size_t items,
               "(%.0f/s) -> batch %.2fx\n",
               items, unit, batch_ms, per_sec, looped_ms, per_sec_looped,
               batch_speedup);
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"%s_per_sec\": %.1f,\n"
-                "  \"%s_per_sec_looped\": %.1f,\n"
-                "  \"batch_speedup\": %.3f,\n"
-                "  \"batch_ms\": %.3f,\n"
-                "  \"batch_items\": %zu,\n",
-                unit, per_sec, unit, per_sec_looped, batch_speedup, batch_ms,
-                items);
-  return buf;
+  return {{std::string(unit) + "_per_sec", obs::Json::Fixed(per_sec, 1)},
+          {std::string(unit) + "_per_sec_looped",
+           obs::Json::Fixed(per_sec_looped, 1)},
+          {"batch_speedup", obs::Json::Fixed(batch_speedup, 3)},
+          {"batch_ms", bench_json_internal::Ms(batch_ms)},
+          {"batch_items", items}};
 }
 
+/// Times `baseline` and `optimized` with the pool pinned to one worker —
+/// so algo_speedup = baseline_ms / optimized_ms is a pure
+/// algorithmic-improvement ratio, uncontaminated by threading — then
+/// re-times `optimized` at XFAIR_BENCH_THREADS workers for the thread-
+/// scaling fields, and writes BENCH_<name>.json: the members of `extra`
+/// plus the timing and profile fields.
 inline void RecordAlgoSpeedup(const std::string& name,
                               const std::function<void()>& baseline,
                               const std::function<void()>& optimized,
-                              int repeats = 3,
-                              const std::string& extra_json = "") {
+                              int repeats = 3, obs::Json extra = {}) {
   const size_t threads = bench_json_internal::BenchThreads();
   SetParallelThreads(1);
   const double baseline_ms = bench_json_internal::TimeMs(baseline, repeats);
   const double optimized_ms = bench_json_internal::TimeMs(optimized, repeats);
   SetParallelThreads(threads);
   const double parallel_ms = bench_json_internal::TimeMs(optimized, repeats);
-  const auto profile = bench_json_internal::ProfileWorkload(optimized);
+  bench_json_internal::ProfileWorkload(optimized, &extra);
   SetParallelThreads(0);
   bench_json_internal::WriteBenchJson(name, baseline_ms, optimized_ms,
                                       optimized_ms, parallel_ms, threads,
-                                      profile, extra_json);
+                                      std::move(extra));
 }
 
 }  // namespace xfair

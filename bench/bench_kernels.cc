@@ -140,7 +140,7 @@ void PrintOnce() {
     // The batch engine and the per-instance loop produce bit-identical
     // phi (pinned by tests/tree_shap_test.cc), so explanations/sec is
     // the only axis being measured.
-    std::string throughput_json;
+    obs::Json throughput;
     {
       Dataset credit = CreditGen().Generate(8192, 311);
       RandomForest audit_forest;
@@ -152,7 +152,7 @@ void PrintOnce() {
       Matrix phi;
       Vector base;
       TreeShapBatchInto(audit_forest, xs, &phi, &base);  // Warm cache/arenas.
-      throughput_json = MeasureThroughputExtra(
+      throughput = MeasureThroughputExtra(
           "explanations", xs.rows(),
           [&] { TreeShapBatchInto(audit_forest, xs, &phi, &base); },
           [&] {
@@ -177,7 +177,7 @@ void PrintOnce() {
                 PathDependentTreeShap(tree, data.instance(i)));
           }
         },
-        /*repeats=*/3, throughput_json);
+        /*repeats=*/3, std::move(throughput));
   }
 
   // b. Flat branchless forest inference vs the pointer walk.
@@ -271,7 +271,12 @@ void PrintOnce() {
     auto batch = [&] {
       benchmark::DoNotOptimize(forest.PredictProbaBatch(mdata.x()));
     };
-    std::string monitor_json;
+    // Fields added to BENCH_obs_overhead.json next to the timings.
+    obs::Json obs_extra;
+    using bench_json_internal::Ms;
+    const auto pct = [](double off, double on) {
+      return off > 0.0 ? 100.0 * (on / off - 1.0) : 0.0;
+    };
     {
       obs::MonitorOptions mopts;
       mopts.window = 512;
@@ -293,17 +298,13 @@ void PrintOnce() {
           5);
       obs::SetMonitoringEnabled(false);
       SetParallelThreads(0);
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "  \"monitor\": {\"off_ms\": %.3f, \"idle_ms\": %.3f, "
-                    "\"active_ms\": %.3f, \"idle_overhead_pct\": %.1f, "
-                    "\"active_overhead_pct\": %.1f},\n",
-                    off_ms, idle_ms, active_ms,
-                    off_ms > 0.0 ? 100.0 * (idle_ms / off_ms - 1.0) : 0.0,
-                    off_ms > 0.0
-                        ? 100.0 * (active_ms / off_ms - 1.0)
-                        : 0.0);
-      monitor_json = buf;
+      obs_extra["monitor"] = {
+          {"off_ms", Ms(off_ms)},
+          {"idle_ms", Ms(idle_ms)},
+          {"active_ms", Ms(active_ms)},
+          {"idle_overhead_pct", obs::Json::Fixed(pct(off_ms, idle_ms), 1)},
+          {"active_overhead_pct",
+           obs::Json::Fixed(pct(off_ms, active_ms), 1)}};
     }
 
     // Flight-recorder and event-log idle overhead: the same flat-tree
@@ -313,7 +314,6 @@ void PrintOnce() {
     // bench_compare.py (--max-overhead-pct); the nested objects add
     // informational on/off timings for the span-dense fairness-SHAP
     // batch and worst-slice-search workloads from PRs 8/9.
-    std::string obs_extra;
     {
       Dataset credit = CreditGen().Generate(1024, 313);
       DecisionTree ctree;
@@ -347,9 +347,6 @@ void PrintOnce() {
       double batch_off = 1e300, fs_off = 1e300, ss_off = 1e300;
       double batch_rec = 1e300, fs_rec = 1e300, ss_rec = 1e300;
       double batch_ev = 1e300, fs_ev = 1e300, ss_ev = 1e300;
-      const auto pct = [](double off, double on) {
-        return off > 0.0 ? 100.0 * (on / off - 1.0) : 0.0;
-      };
       // Host-level CPU steal on a single-vCPU guest can outlast one
       // sampling pass, so the floors carry across up to three passes —
       // they only ever settle downward toward the intrinsic cost. A
@@ -380,21 +377,18 @@ void PrintOnce() {
       obs::ResetRecorder();
       obs::ResetEventLog();
       SetParallelThreads(0);
-      char buf[640];
-      std::snprintf(
-          buf, sizeof(buf),
-          "  \"recorder_idle_overhead_pct\": %.1f,\n"
-          "  \"eventlog_idle_overhead_pct\": %.1f,\n"
-          "  \"recorder\": {\"off_ms\": %.3f, \"on_ms\": %.3f, "
-          "\"fairness_shap_off_ms\": %.3f, \"fairness_shap_on_ms\": %.3f, "
-          "\"slice_search_off_ms\": %.3f, \"slice_search_on_ms\": %.3f},\n"
-          "  \"eventlog\": {\"off_ms\": %.3f, \"on_ms\": %.3f, "
-          "\"fairness_shap_off_ms\": %.3f, \"fairness_shap_on_ms\": %.3f, "
-          "\"slice_search_off_ms\": %.3f, \"slice_search_on_ms\": %.3f},\n",
-          rec_pct, ev_pct, batch_off,
-          batch_rec, fs_off, fs_rec, ss_off, ss_rec, batch_off, batch_ev,
-          fs_off, fs_ev, ss_off, ss_ev);
-      obs_extra = buf;
+      const auto sink = [&](double on_ms, double fs_on, double ss_on) {
+        return obs::Json{{"off_ms", Ms(batch_off)},
+                         {"on_ms", Ms(on_ms)},
+                         {"fairness_shap_off_ms", Ms(fs_off)},
+                         {"fairness_shap_on_ms", Ms(fs_on)},
+                         {"slice_search_off_ms", Ms(ss_off)},
+                         {"slice_search_on_ms", Ms(ss_on)}};
+      };
+      obs_extra["recorder_idle_overhead_pct"] = obs::Json::Fixed(rec_pct, 1);
+      obs_extra["eventlog_idle_overhead_pct"] = obs::Json::Fixed(ev_pct, 1);
+      obs_extra["recorder"] = sink(batch_rec, fs_rec, ss_rec);
+      obs_extra["eventlog"] = sink(batch_ev, fs_ev, ss_ev);
     }
 
     RecordAlgoSpeedup(
@@ -405,7 +399,7 @@ void PrintOnce() {
           obs::SetTracingEnabled(false);
           obs::FlushSpans();  // Drain so buffers never grow unboundedly.
         },
-        workload, /*repeats=*/5, monitor_json + obs_extra);
+        workload, /*repeats=*/5, std::move(obs_extra));
   }
 
   // e. Dense kernels vs the pre-kernel per-element checked-At loops.

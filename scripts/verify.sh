@@ -29,6 +29,45 @@ echo "== tier-1 again with XFAIR_THREADS=4 =="
 (cd build && XFAIR_THREADS=4 ctest --output-on-failure -j)
 
 echo
+echo "== JSON artifacts: valid and thread-count invariant =="
+# Runs the monitor example with its bundle dump at one and at eight
+# workers, each in its own scratch dir. Every JSON file it writes and
+# every events.jsonl line must load with python3's json, the two stdouts
+# must match, and the deterministic bundle files must be byte-identical
+# across the two runs (trace.json and counters.json carry timings).
+artifacts=build/json-artifacts
+rm -rf "$artifacts"
+for t in 1 8; do
+  mkdir -p "$artifacts/t$t"
+  (cd "$artifacts/t$t" && XFAIR_THREADS=$t \
+    ../../examples/example_monitor_stream --bundle-dir bundles > stdout.txt)
+done
+python3 - "$artifacts" <<'PY'
+import filecmp, json, pathlib, sys
+root = pathlib.Path(sys.argv[1])
+one, eight = root / "t1", root / "t8"
+for run in (one, eight):
+    json.loads((run / "monitor_stream.json").read_text())
+    for f in run.glob("bundles/*/*.json"):
+        json.loads(f.read_text())
+    for f in run.glob("bundles/*/events.jsonl"):
+        for line in f.read_text().splitlines():
+            json.loads(line)
+if (one / "stdout.txt").read_text() != (eight / "stdout.txt").read_text():
+    sys.exit("example_monitor_stream stdout differs between 1 and 8 threads")
+bundles = sorted(p.name for p in (one / "bundles").iterdir())
+if not bundles or bundles != sorted(p.name for p in (eight / "bundles").iterdir()):
+    sys.exit(f"bundle directories differ or are missing: {bundles}")
+for b in bundles:
+    for name in ("MANIFEST.json", "counter_deltas.json", "events.jsonl",
+                 "monitor.json", "provenance.json"):
+        if not filecmp.cmp(one / "bundles" / b / name,
+                           eight / "bundles" / b / name, shallow=False):
+            sys.exit(f"{b}/{name} differs between 1 and 8 threads")
+print(f"json artifacts ok: {len(bundles)} bundles")
+PY
+
+echo
 echo "== parallel_test under ThreadSanitizer (XFAIR_THREADS=8) =="
 cmake -B build-tsan -S . -DXFAIR_TSAN=ON > /dev/null
 cmake --build build-tsan -j --target parallel_test
@@ -54,7 +93,7 @@ echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
 cmake -B build-noobs -S . -DXFAIR_OBS=OFF > /dev/null
 cmake --build build-noobs -j --target xfair_tests example_monitor_stream
 ./build-noobs/tests/xfair_tests \
-  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*'
+  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*'
 # The same example binary must run with zero monitoring output when the
 # layer is compiled out (no alarms, no summaries, no artifacts) — and
 # the alarm hook bus must never dump a diagnostic bundle.

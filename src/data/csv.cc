@@ -109,7 +109,8 @@ Status WriteCsv(const Dataset& data, const std::string& path) {
       out << data.x().At(r, c) << ",";
     out << data.label(r) << "," << data.group(r) << "\n";
   }
-  if (!out.good()) return Status::Internal("write failed: " + path);
+  out.close();  // Flushes: a full disk often fails only here.
+  if (out.fail()) return Status::Internal("write failed: " + path);
   return Status::OK();
 }
 

@@ -117,6 +117,19 @@ std::vector<CounterSnapshot> SnapshotCounters() {
   return out;
 }
 
+std::vector<CounterSnapshot> CounterDeltas(
+    const std::vector<CounterSnapshot>& baseline) {
+  std::vector<CounterSnapshot> out;
+  auto base = baseline.begin();  // Both sides are sorted by name.
+  for (CounterSnapshot& c : SnapshotCounters()) {
+    while (base != baseline.end() && base->name < c.name) ++base;
+    const uint64_t prev =
+        base != baseline.end() && base->name == c.name ? base->value : 0;
+    if (c.value > prev) out.push_back({std::move(c.name), c.value - prev});
+  }
+  return out;
+}
+
 std::vector<HistogramSnapshot> SnapshotHistograms() {
   std::vector<HistogramSnapshot> out;
   HistogramRegistry().ForEachSorted([&out](Histogram& h) {

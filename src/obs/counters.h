@@ -172,6 +172,12 @@ double HistogramQuantile(const HistogramSnapshot& h, double q);
 /// All registered counters, sorted by name (deterministic export order).
 std::vector<CounterSnapshot> SnapshotCounters();
 
+/// Counters that advanced since `baseline` (an earlier SnapshotCounters),
+/// as (name, increase) sorted by name; a counter registered after the
+/// baseline counts from zero.
+std::vector<CounterSnapshot> CounterDeltas(
+    const std::vector<CounterSnapshot>& baseline);
+
 /// All registered histograms, sorted by name.
 std::vector<HistogramSnapshot> SnapshotHistograms();
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
 
-#include "src/obs/export.h"
+#include "src/obs/json.h"
 
 namespace xfair::obs {
 namespace {
@@ -93,12 +92,7 @@ void EmitEvent(Severity severity, std::string_view component,
   rec.severity = severity;
   rec.component = std::string(component);
   rec.event = std::string(event);
-  rec.fields.reserve(fields.size());
-  for (const auto& [k, v] : fields) {
-    rec.fields.emplace_back(std::string(k), v);
-  }
-  std::sort(rec.fields.begin(), rec.fields.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [k, v] : fields) rec.fields.emplace(k, v);
   LogState& log = GlobalLog();
   std::lock_guard<std::mutex> guard(log.mutex);
   rec.seq = log.next_seq++;
@@ -160,15 +154,15 @@ std::string EventsToJsonl(const std::vector<EventRecord>& records) {
 #else
   std::string out;
   for (const EventRecord& r : records) {
-    out += "{\"component\":\"" + JsonEscape(r.component) +
-           "\",\"event\":\"" + JsonEscape(r.event) + "\",\"fields\":{";
-    for (size_t i = 0; i < r.fields.size(); ++i) {
-      if (i != 0) out += ',';
-      out += "\"" + JsonEscape(r.fields[i].first) + "\":\"" +
-             JsonEscape(r.fields[i].second) + "\"";
-    }
-    out += "},\"seq\":" + std::to_string(r.seq) + ",\"severity\":\"" +
-           SeverityName(r.severity) + "\"}\n";
+    Json fields;
+    for (const auto& [key, value] : r.fields) fields[key] = value;
+    out += Json{{"component", r.component},
+                {"event", r.event},
+                {"fields", std::move(fields)},
+                {"seq", r.seq},
+                {"severity", SeverityName(r.severity)}}
+               .Dump(Json::Layout::kCompact) +
+           "\n";
   }
   return out;
 #endif

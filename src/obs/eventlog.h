@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -41,13 +42,13 @@ enum class Severity { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 /// Lowercase wire name ("debug" | "info" | "warn" | "error").
 const char* SeverityName(Severity s);
 
-/// One emitted event. `fields` is sorted by key at emission time.
+/// One emitted event; `fields` is keyed (and so sorted) by field name.
 struct EventRecord {
   uint64_t seq = 0;
   Severity severity = Severity::kInfo;
   std::string component;
   std::string event;
-  std::vector<std::pair<std::string, std::string>> fields;
+  std::map<std::string, std::string> fields;
 };
 
 /// True when EmitEvent records (one relaxed load). Off by default unless

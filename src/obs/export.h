@@ -7,7 +7,6 @@
 #define XFAIR_OBS_EXPORT_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/obs/counters.h"
@@ -24,18 +23,14 @@ struct StageStat {
   double self_ms = 0.0;  ///< total minus time in same-thread child spans.
 };
 
-/// `s` escaped for use inside a JSON string literal: quotes,
-/// backslashes and control characters.
-std::string JsonEscape(std::string_view s);
-
 /// Aggregates spans by name, sorted by name (deterministic).
 std::vector<StageStat> AggregateStages(const std::vector<SpanRecord>& spans);
 
 /// Chrome trace-event JSON ("X" complete events; ts/dur in microseconds,
-/// tid = thread ordinal). Returns the full document.
+/// tid = thread ordinal), compact. Returns the full document.
 std::string SpansToChromeTraceJson(const std::vector<SpanRecord>& spans);
 
-/// Writes SpansToChromeTraceJson(spans) to `path`.
+/// Writes SpansToChromeTraceJson(spans) to `path` through WriteTextFile.
 Status WriteChromeTrace(const std::string& path,
                         const std::vector<SpanRecord>& spans);
 
@@ -44,9 +39,9 @@ Status WriteChromeTrace(const std::string& path,
 /// sorted by name.
 std::string CountersToJson();
 
-/// JSON fragment (an array) for a stage breakdown; used by bench_json.h
-/// and RunReport. Example element:
-///   {"name": "shap/exact", "count": 3, "total_ms": 1.204, "self_ms": 0.9}
+/// JSON array for a stage breakdown; bench_json.h and RunReport nest it.
+/// Example element, keys sorted:
+///   {"count": 3, "name": "shap/exact", "self_ms": 0.900, "total_ms": 1.204}
 std::string StagesToJson(const std::vector<StageStat>& stages);
 
 }  // namespace xfair::obs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/obs/counters.h"
+#include "src/obs/json.h"
 
 namespace xfair::obs {
 namespace {
@@ -149,24 +150,13 @@ std::string RenderPrometheusText() {
 
 std::string MonitorsToJson() {
 #ifdef XFAIR_OBS_DISABLED
-  return "{}";
+  return Json().Dump();
 #else
-  std::string out = "{\n  \"monitors\": {";
-  const auto monitors = RegisteredMonitors();
-  for (size_t i = 0; i < monitors.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    // Indent the monitor's own snapshot two levels.
-    std::string snap = monitors[i]->SnapshotJson();
-    std::string indented;
-    indented.reserve(snap.size());
-    for (char c : snap) {
-      indented += c;
-      if (c == '\n') indented += "    ";
-    }
-    out += "    \"" + monitors[i]->name() + "\": " + indented;
+  Json monitors;
+  for (const FairnessMonitor* m : RegisteredMonitors()) {
+    monitors[m->name()] = Json::Raw(m->SnapshotJson());
   }
-  out += monitors.empty() ? "}\n}\n" : "\n  }\n}\n";
-  return out;
+  return Json{{"monitors", std::move(monitors)}}.Dump() + "\n";
 #endif
 }
 
@@ -176,9 +166,9 @@ Status WriteTextFile(const std::string& path, const std::string& content) {
     return Status::NotFound("cannot open for write: " + path);
   }
   const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
-    return Status::Internal("short write: " + path);
+  // A full disk often surfaces only when fclose flushes the buffer.
+  if (std::fclose(f) != 0 || written != content.size()) {
+    return Status::Internal("write failed: " + path);
   }
   return Status::OK();
 }

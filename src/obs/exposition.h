@@ -41,7 +41,9 @@ std::string RenderPrometheusText();
 /// registered monitor, names and keys sorted.
 std::string MonitorsToJson();
 
-/// Writes `content` to `path` (the WriteChromeTrace contract).
+/// Writes `content` to `path`: NotFound when the file cannot be opened,
+/// Internal when the write or the close fails (e.g. a full disk). Every
+/// JSON artifact is written through here.
 Status WriteTextFile(const std::string& path, const std::string& content);
 
 }  // namespace xfair::obs

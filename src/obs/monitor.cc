@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "src/obs/eventlog.h"
-#include "src/obs/export.h"
+#include "src/obs/json.h"
 
 namespace xfair::obs {
 
@@ -55,12 +54,6 @@ struct StreamContext {
 StreamContext& LocalStreamContext() {
   thread_local StreamContext ctx;
   return ctx;
-}
-
-[[maybe_unused]] std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
 }
 
 }  // namespace
@@ -184,7 +177,7 @@ void FairnessMonitor::UpdateDetectors(uint64_t seq) {
                {"metric", alarm.metric},
                {"monitor", name_},
                {"seq", std::to_string(alarm.seq)},
-               {"value", FormatDouble(alarm.value)}});
+               {"value", Json::Number(alarm.value).Dump()}});
     for (const AlarmHook& hook : hooks) hook(*this, alarm);
   }
 }
@@ -296,58 +289,45 @@ void FairnessMonitor::Reset() {
 
 std::string FairnessMonitor::SnapshotJson() const {
 #ifdef XFAIR_OBS_DISABLED
-  return "{}";
+  return Json().Dump();
 #else
-  std::string out = "{\n";
-  out += "  \"alarms\": [";
-  for (size_t i = 0; i < alarms_.size(); ++i) {
-    const DriftAlarm& a = alarms_[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"detector\": \"" + a.detector + "\", \"metric\": \"" +
-           a.metric + "\", \"seq\": " + std::to_string(a.seq) +
-           ", \"statistic\": " + FormatDouble(a.statistic) +
-           ", \"value\": " + FormatDouble(a.value) + "}";
+  Json doc = {{"events_dropped", events_dropped_},
+              {"events_processed", events_processed_},
+              {"monitor", name_}};
+  std::vector<Json> alarms;
+  for (const DriftAlarm& a : alarms_) {
+    alarms.push_back({{"detector", a.detector},
+                      {"metric", a.metric},
+                      {"seq", a.seq},
+                      {"statistic", Json::Number(a.statistic)},
+                      {"value", Json::Number(a.value)}});
   }
-  out += alarms_.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"events_dropped\": " + std::to_string(events_dropped_) + ",\n";
-  out += "  \"events_processed\": " + std::to_string(events_processed_) +
-         ",\n";
-  out += "  \"groups\": {";
-  bool first = true;
+  doc["alarms"] = std::move(alarms);
+  Json& groups = doc["groups"];
   for (int g = 0; g < kMaxGroups; ++g) {
     const GroupAggregate& agg = aggregates_[static_cast<size_t>(g)];
     if (agg.events == 0) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + std::to_string(g) + "\": {";
-    out += "\"events\": " + std::to_string(agg.events);
-    out += ", \"fpr\": " + FormatDouble(agg.fpr());
-    out += ", \"labeled\": " + std::to_string(agg.labeled);
-    out += ", \"positive_rate\": " + FormatDouble(agg.positive_rate());
-    out += ", \"predicted_positive\": " +
-           std::to_string(agg.predicted_positive);
-    out += ", \"score_mean\": " + FormatDouble(agg.score_mean);
-    out += ", \"score_variance\": " + FormatDouble(agg.score_variance());
-    out += ", \"tpr\": " + FormatDouble(agg.tpr());
-    out += "}";
+    groups[std::to_string(g)] = {
+        {"events", agg.events},
+        {"fpr", Json::Number(agg.fpr())},
+        {"labeled", agg.labeled},
+        {"positive_rate", Json::Number(agg.positive_rate())},
+        {"predicted_positive", agg.predicted_positive},
+        {"score_mean", Json::Number(agg.score_mean)},
+        {"score_variance", Json::Number(agg.score_variance())},
+        {"tpr", Json::Number(agg.tpr())}};
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"monitor\": \"" + JsonEscape(name_) + "\",\n";
   const WindowedMetrics wm = Windowed();
-  out += "  \"window\": {";
-  out += "\"calibration_gap\": " + FormatDouble(wm.calibration_gap);
-  out += ", \"demographic_parity_diff\": " +
-         FormatDouble(wm.demographic_parity_diff);
-  out += ", \"equalized_odds_diff\": " +
-         FormatDouble(wm.equalized_odds_diff);
-  out += ", \"events\": " + std::to_string(wm.events);
-  out += ", \"first_seq\": " + std::to_string(wm.first_seq);
-  out += ", \"labeled\": " + std::to_string(wm.labeled);
-  out += ", \"last_seq\": " + std::to_string(wm.last_seq);
-  out += std::string(", \"single_group\": ") +
-         (wm.single_group ? "true" : "false");
-  out += "}\n}";
-  return out;
+  doc["window"] = {
+      {"calibration_gap", Json::Number(wm.calibration_gap)},
+      {"demographic_parity_diff", Json::Number(wm.demographic_parity_diff)},
+      {"equalized_odds_diff", Json::Number(wm.equalized_odds_diff)},
+      {"events", wm.events},
+      {"first_seq", wm.first_seq},
+      {"labeled", wm.labeled},
+      {"last_seq", wm.last_seq},
+      {"single_group", wm.single_group}};
+  return doc.Dump();
 #endif
 }
 

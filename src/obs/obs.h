@@ -30,6 +30,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/export.h"
 #include "src/obs/exposition.h"
+#include "src/obs/json.h"
 #include "src/obs/monitor.h"
 #include "src/obs/recorder.h"
 #include "src/obs/trace.h"

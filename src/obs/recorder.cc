@@ -11,6 +11,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/export.h"
 #include "src/obs/exposition.h"
+#include "src/obs/json.h"
 #include "src/obs/monitor.h"
 #include "src/obs/per_thread_log.h"
 
@@ -25,34 +26,24 @@ PerThreadLog<SpanRecord>& FlightLog() {
 
 std::atomic<bool> g_enabled{false};
 
-/// Counter values at the last enable/reset; deltas are measured from it.
-struct DeltaBaseline {
+/// The recorder's state besides the flight log: the counter values at
+/// the last enable/reset, which deltas are measured from, and the active
+/// provenance.
+struct RecorderState {
   std::mutex mutex;
-  std::map<std::string, uint64_t> values;
+  std::vector<CounterSnapshot> baseline;
+  std::string provenance = Json().Dump();
 };
 
-DeltaBaseline& GlobalBaseline() {
-  static DeltaBaseline* b = new DeltaBaseline();
-  return *b;
+RecorderState& State() {
+  static RecorderState* s = new RecorderState();
+  return *s;
 }
 
 void CaptureCounterBaseline() {
-  DeltaBaseline& base = GlobalBaseline();
-  std::lock_guard<std::mutex> guard(base.mutex);
-  base.values.clear();
-  for (const CounterSnapshot& c : SnapshotCounters()) {
-    base.values[c.name] = c.value;
-  }
-}
-
-struct ProvenanceState {
-  std::mutex mutex;
-  std::string json = "{}";
-};
-
-ProvenanceState& GlobalProvenance() {
-  static ProvenanceState* p = new ProvenanceState();
-  return *p;
+  RecorderState& s = State();
+  std::lock_guard<std::mutex> guard(s.mutex);
+  s.baseline = SnapshotCounters();
 }
 
 std::atomic<uint64_t> g_bundle_index{0};
@@ -108,19 +99,9 @@ std::vector<SpanRecord> SnapshotFlightSpans() {
 uint64_t FlightSpansDropped() { return FlightLog().Dropped(); }
 
 std::vector<CounterSnapshot> RecorderCounterDeltas() {
-  std::map<std::string, uint64_t> baseline;
-  {
-    DeltaBaseline& base = GlobalBaseline();
-    std::lock_guard<std::mutex> guard(base.mutex);
-    baseline = base.values;
-  }
-  std::vector<CounterSnapshot> out;
-  for (const CounterSnapshot& c : SnapshotCounters()) {
-    const auto it = baseline.find(c.name);
-    const uint64_t prev = it == baseline.end() ? 0 : it->second;
-    if (c.value > prev) out.push_back({c.name, c.value - prev});
-  }
-  return out;  // SnapshotCounters is sorted; the filter preserves that.
+  RecorderState& s = State();
+  std::lock_guard<std::mutex> guard(s.mutex);
+  return CounterDeltas(s.baseline);
 }
 
 void ResetRecorder() {
@@ -129,15 +110,15 @@ void ResetRecorder() {
 }
 
 void SetActiveProvenance(std::string json) {
-  ProvenanceState& p = GlobalProvenance();
-  std::lock_guard<std::mutex> guard(p.mutex);
-  p.json = json.empty() ? std::string("{}") : std::move(json);
+  RecorderState& s = State();
+  std::lock_guard<std::mutex> guard(s.mutex);
+  s.provenance = json.empty() ? Json().Dump() : std::move(json);
 }
 
 std::string ActiveProvenanceJson() {
-  ProvenanceState& p = GlobalProvenance();
-  std::lock_guard<std::mutex> guard(p.mutex);
-  return p.json;
+  RecorderState& s = State();
+  std::lock_guard<std::mutex> guard(s.mutex);
+  return s.provenance;
 }
 
 Status DumpDiagnosticBundle(const std::string& directory,
@@ -170,52 +151,36 @@ Status DumpDiagnosticBundle(const std::string& directory,
   const std::vector<SpanRecord> spans = SnapshotFlightSpans();
   const std::vector<EventRecord> events = SnapshotEvents();
 
-  std::string deltas = "{";
-  {
-    const auto dd = RecorderCounterDeltas();
-    for (size_t i = 0; i < dd.size(); ++i) {
-      deltas += i == 0 ? "\n" : ",\n";
-      deltas += "  \"" + dd[i].name + "\": " + std::to_string(dd[i].value);
-    }
-    deltas += dd.empty() ? "}\n" : "\n}\n";
+  Json deltas;
+  for (const CounterSnapshot& c : RecorderCounterDeltas()) {
+    deltas[c.name] = c.value;
   }
-
-  // MANIFEST keys and the file list are sorted; no clocks, no host
-  // state — byte-deterministic for identical recorded state.
-  const char* files[] = {"MANIFEST.json",  "counter_deltas.json",
-                         "counters.json",  "events.jsonl",
-                         "monitor.json",   "provenance.json",
-                         "trace.json"};
-  std::string manifest = "{\n";
-  manifest += "  \"event_count\": " + std::to_string(events.size()) + ",\n";
-  manifest += "  \"files\": [";
-  for (size_t i = 0; i < sizeof(files) / sizeof(files[0]); ++i) {
-    manifest += i == 0 ? "" : ", ";
-    manifest += std::string("\"") + files[i] + "\"";
-  }
-  manifest += "],\n";
-  manifest += "  \"reason\": \"" + SanitizeReason(reason) + "\",\n";
-  manifest += "  \"span_count\": " + std::to_string(spans.size()) + "\n";
-  manifest += "}\n";
-
-  struct Entry {
-    const char* file;
-    std::string content;
-  };
-  const Entry entries[] = {
-      {"MANIFEST.json", manifest},
-      {"trace.json", SpansToChromeTraceJson(spans)},
-      {"monitor.json",
-       (monitor != nullptr ? monitor->SnapshotJson() : std::string("{}")) +
-           "\n"},
+  // Files in name order. The manifest lists them all, itself included,
+  // and holds no clocks or host state: it is byte-deterministic for
+  // identical recorded state.
+  std::map<std::string, std::string> files = {
+      {"MANIFEST.json", ""},
+      {"counter_deltas.json", deltas.Dump() + "\n"},
       {"counters.json", CountersToJson()},
-      {"counter_deltas.json", deltas},
-      {"provenance.json", ActiveProvenanceJson() + "\n"},
       {"events.jsonl", EventsToJsonl(events)},
+      {"monitor.json",
+       (monitor != nullptr ? monitor->SnapshotJson() : Json().Dump()) +
+           "\n"},
+      {"provenance.json", ActiveProvenanceJson() + "\n"},
+      {"trace.json", SpansToChromeTraceJson(spans)},
   };
-  for (const Entry& e : entries) {
-    if (Status st = WriteTextFile(path + "/" + e.file, e.content);
-        !st.ok()) {
+  std::vector<Json> listed;
+  for (const auto& file : files) listed.push_back(file.first);
+  files["MANIFEST.json"] = Json{{"event_count", events.size()},
+                                {"events_dropped", EventsDropped()},
+                                {"files", std::move(listed)},
+                                {"reason", SanitizeReason(reason)},
+                                {"span_count", spans.size()},
+                                {"spans_dropped", FlightSpansDropped()}}
+                               .Dump() +
+                           "\n";
+  for (const auto& [file, content] : files) {
+    if (Status st = WriteTextFile(path + "/" + file, content); !st.ok()) {
       return st;
     }
   }

@@ -2,11 +2,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <map>
 
 #include "src/obs/eventlog.h"
 #include "src/obs/export.h"
+#include "src/obs/json.h"
 #include "src/obs/monitor.h"
 #include "src/obs/recorder.h"
 
@@ -20,6 +19,15 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t bytes) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// What identifies a run: method, configuration, seed and dataset.
+Json ProvenanceJson(const RunReport& r) {
+  return {{"citation", r.citation},
+          {"config", r.config},
+          {"dataset_fingerprint", r.dataset_fingerprint},
+          {"method", r.method},
+          {"seed", r.seed}};
 }
 
 }  // namespace
@@ -67,22 +75,13 @@ RunReport RunWithReport(const ApproachDescriptor& descriptor,
   // dumped during (or after) the run can prove which method, seed, and
   // dataset produced the decisions under audit. Stays installed after
   // the run: "most recent run" is exactly what an alarm wants to see.
-  SetActiveProvenance("{\n  \"citation\": \"" + JsonEscape(report.citation) +
-                      "\",\n  \"config\": \"" + JsonEscape(report.config) +
-                      "\",\n  \"dataset_fingerprint\": \"" +
-                      report.dataset_fingerprint + "\",\n  \"method\": \"" +
-                      JsonEscape(report.method) + "\",\n  \"seed\": " +
-                      std::to_string(report.seed) + "\n}");
+  SetActiveProvenance(ProvenanceJson(report).Dump());
   EmitEvent(Severity::kInfo, "run_report", "run_start",
             {{"citation", report.citation},
              {"method", report.method},
              {"seed", std::to_string(report.seed)}});
 
-  const std::map<std::string, uint64_t> before = [] {
-    std::map<std::string, uint64_t> m;
-    for (const CounterSnapshot& c : SnapshotCounters()) m[c.name] = c.value;
-    return m;
-  }();
+  const std::vector<CounterSnapshot> before = SnapshotCounters();
   const bool was_tracing = TracingEnabled();
   FlushSpans();  // Discard anything recorded before this run.
   SetTracingEnabled(true);
@@ -96,13 +95,7 @@ RunReport RunWithReport(const ApproachDescriptor& descriptor,
 
   SetTracingEnabled(was_tracing);
   report.stages = AggregateStages(FlushSpans());
-  for (const CounterSnapshot& c : SnapshotCounters()) {
-    const auto it = before.find(c.name);
-    const uint64_t prev = it == before.end() ? 0 : it->second;
-    if (c.value > prev) {
-      report.counter_deltas.push_back({c.name, c.value - prev});
-    }
-  }
+  report.counter_deltas = CounterDeltas(before);
 
 #ifndef XFAIR_OBS_DISABLED
   // Fairness telemetry: replay the credit fixture through the model's
@@ -133,33 +126,14 @@ RunReport RunWithReport(const ApproachDescriptor& descriptor,
 }
 
 std::string RunReport::ToJson() const {
-  char wall[32];
-  std::snprintf(wall, sizeof(wall), "%.3f", wall_ms);
-  std::string out = "{\n";
-  out += "  \"method\": \"" + JsonEscape(method) + "\",\n";
-  out += "  \"citation\": \"" + JsonEscape(citation) + "\",\n";
-  out += "  \"config\": \"" + JsonEscape(config) + "\",\n";
-  out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"dataset_fingerprint\": \"" + dataset_fingerprint + "\",\n";
-  out += "  \"summary\": \"" + JsonEscape(summary) + "\",\n";
-  out += std::string("  \"wall_ms\": ") + wall + ",\n";
-  // Indent the monitor snapshot one level to nest cleanly.
-  std::string telemetry;
-  telemetry.reserve(fairness_telemetry.size());
-  for (char c : fairness_telemetry) {
-    telemetry += c;
-    if (c == '\n') telemetry += "  ";
-  }
-  out += "  \"fairness_telemetry\": " + telemetry + ",\n";
-  out += "  \"stages\": " + StagesToJson(stages) + ",\n";
-  out += "  \"counter_deltas\": {";
-  for (size_t i = 0; i < counter_deltas.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"" + JsonEscape(counter_deltas[i].name) +
-           "\": " + std::to_string(counter_deltas[i].value);
-  }
-  out += "\n  }\n}";
-  return out;
+  Json doc = ProvenanceJson(*this);
+  Json& deltas = doc["counter_deltas"];
+  for (const CounterSnapshot& c : counter_deltas) deltas[c.name] = c.value;
+  doc["fairness_telemetry"] = Json::Raw(fairness_telemetry);
+  doc["stages"] = Json::Raw(StagesToJson(stages));
+  doc["summary"] = summary;
+  doc["wall_ms"] = Json::Fixed(wall_ms, 3);
+  return doc.Dump();
 }
 
 }  // namespace xfair::obs

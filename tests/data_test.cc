@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "src/data/csv.h"
 #include "src/data/generators.h"
@@ -244,6 +245,10 @@ TEST(Csv, RoundTrip) {
       EXPECT_NEAR(r->x().At(i, c), d.x().At(i, c), 1e-4);
   }
   std::remove(path.c_str());
+  // A full disk: the buffered rows fail only when the stream is flushed.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(WriteCsv(d, "/dev/full").ok());
+  }
 }
 
 TEST(Csv, MissingFileFails) {

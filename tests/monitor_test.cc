@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -439,11 +440,16 @@ TEST(Exposition, PrometheusTextIsDeterministicAndWellFormed) {
 TEST(Exposition, MonitorsToJsonNestsSnapshots) {
   MonitorGuard guard;
   obs::GetMonitor("monitor_test/json_a", MonitorOptions{}).Reset();
+  obs::GetMonitor("credit \"v2\"\\prod", MonitorOptions{}).Reset();
   const std::string json = obs::MonitorsToJson();
 #ifdef XFAIR_OBS_DISABLED
   EXPECT_EQ(json, "{}");
 #else
   EXPECT_NE(json.find("\"monitor_test/json_a\""), std::string::npos);
+  // The monitor's name is a key of the document: escaped like a string.
+  EXPECT_NE(json.find("    \"credit \\\"v2\\\"\\\\prod\": {\n"),
+            std::string::npos)
+      << json;
   int depth = 0;
   for (char c : json) {
     if (c == '{') ++depth;
@@ -465,6 +471,10 @@ TEST(Exposition, WriteTextFileRoundTrips) {
   std::remove(path.c_str());
   EXPECT_EQ(std::string(buf, got), "hello\n");
   EXPECT_FALSE(obs::WriteTextFile("no_such_dir/x/y.txt", "z").ok());
+  // A full disk: the buffered bytes fail only when the file is closed.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(obs::WriteTextFile("/dev/full", "hello\n").ok());
+  }
 }
 
 TEST(MonitorRunReport, CarriesFairnessTelemetry) {

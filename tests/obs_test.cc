@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -427,6 +428,9 @@ TEST(Export, ChromeTraceJsonShape) {
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), json);
   std::remove(path.c_str());
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(obs::WriteChromeTrace("/dev/full", spans).ok());
+  }
 }
 
 TEST(Export, AggregateStagesComputesSelfTime) {

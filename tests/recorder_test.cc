@@ -324,9 +324,12 @@ TEST(Recorder, ManualBundleDumpIsCompleteWithoutMonitor) {
   const fs::path root = fs::path("recorder_test_manual");
   fs::remove_all(root);
   obs::SetRecorderEnabled(true);
-  {
+  // One thread overflows its ring by three spans; the manifest says so.
+  for (size_t i = 0; i < obs::kFlightSpansPerThread + 3; ++i) {
     XFAIR_SPAN("recorder_test/manual");
   }
+  // A counter name that JSON must escape: a quote and a backslash.
+  obs::GetCounter("probe/\"quoted\"\\path").Add(3);
   obs::SetRecorderEnabled(false);
   std::string dir;
   ASSERT_TRUE(obs::DumpDiagnosticBundle(root.string(), nullptr,
@@ -343,6 +346,15 @@ TEST(Recorder, ManualBundleDumpIsCompleteWithoutMonitor) {
   EXPECT_NE(ReadFile(fs::path(dir) / "trace.json")
                 .find("recorder_test/manual"),
             std::string::npos);
+  const std::string deltas = ReadFile(fs::path(dir) / "counter_deltas.json");
+  EXPECT_NE(deltas.find("  \"probe/\\\"quoted\\\"\\\\path\": 3"),
+            std::string::npos)
+      << deltas;
+  const std::string manifest = ReadFile(fs::path(dir) / "MANIFEST.json");
+  EXPECT_NE(manifest.find("\"spans_dropped\": 3"), std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("\"events_dropped\": 0"), std::string::npos)
+      << manifest;
 #endif
   fs::remove_all(root);
 }
