@@ -1,19 +1,15 @@
-// Speedup harness for the benches. Two recorders, one artifact format:
+// Speedup harness for the benches. RecordAlgoSpeedup times a *baseline
+// algorithm* against the optimized one (both single-worker, so the ratio
+// is purely algorithmic), then the optimized one with the pool at
+// XFAIR_BENCH_THREADS workers (default 4).
 //
-// - RecordParallelSpeedup: times one workload with the pool pinned to a
-//   single worker and to XFAIR_BENCH_THREADS workers (default 4).
-// - RecordAlgoSpeedup: additionally times a *baseline algorithm* against
-//   the optimized one (both single-worker, so the ratio is purely
-//   algorithmic), then the optimized one with the pool enabled.
-//
-// Both write BENCH_<name>.json in the working directory with the fields
+// It writes BENCH_<name>.json in the working directory with the fields
 // baseline_ms / optimized_ms / algo_speedup (single-core algorithm
-// comparison; equal to serial for parallel-only benches) and serial_ms /
-// parallel_ms / speedup (thread scaling of the shipped path), so
-// speedups are machine-readable artifacts of a bench run rather than
-// numbers scraped from stdout. Determinism makes the comparisons honest:
-// every run produces bit-identical results, so the only difference is
-// wall time.
+// comparison) and serial_ms / parallel_ms / speedup (thread scaling of
+// the shipped path; serial_ms is optimized_ms), so speedups are
+// machine-readable artifacts of a bench run rather than numbers scraped
+// from stdout. Determinism makes the comparisons honest: every run
+// produces bit-identical results, so the only difference is wall time.
 //
 // After the timed measurements, the optimized workload runs once more
 // with tracing force-enabled; the artifact then also carries "stages"
@@ -87,9 +83,9 @@ inline void ProfileWorkload(const std::function<void()>& workload,
 /// Adds the timing fields to `doc` (extra fields plus the profile) and
 /// writes it as BENCH_<name>.json.
 inline void WriteBenchJson(const std::string& name, double baseline_ms,
-                           double optimized_ms, double serial_ms,
-                           double parallel_ms, size_t threads,
-                           obs::Json doc) {
+                           double optimized_ms, double parallel_ms,
+                           size_t threads, obs::Json doc) {
+  const double serial_ms = optimized_ms;
   const double algo_speedup =
       optimized_ms > 0.0 ? baseline_ms / optimized_ms : 0.0;
   const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
@@ -115,26 +111,6 @@ inline void WriteBenchJson(const std::string& name, double baseline_ms,
 }
 
 }  // namespace bench_json_internal
-
-/// Runs `workload` serially and with the pool at XFAIR_BENCH_THREADS
-/// (default 4) workers, taking the best of `repeats` runs each, and
-/// writes BENCH_<name>.json (baseline fields mirror the serial run: no
-/// algorithmic variant is being compared). Restores the pool to its
-/// environment default before returning.
-inline void RecordParallelSpeedup(const std::string& name,
-                                  const std::function<void()>& workload,
-                                  int repeats = 3) {
-  const size_t threads = bench_json_internal::BenchThreads();
-  SetParallelThreads(1);
-  const double serial_ms = bench_json_internal::TimeMs(workload, repeats);
-  SetParallelThreads(threads);
-  const double parallel_ms = bench_json_internal::TimeMs(workload, repeats);
-  obs::Json doc;
-  bench_json_internal::ProfileWorkload(workload, &doc);
-  SetParallelThreads(0);
-  bench_json_internal::WriteBenchJson(name, serial_ms, serial_ms, serial_ms,
-                                      parallel_ms, threads, std::move(doc));
-}
 
 /// Measures a batch workload's throughput against a looped per-instance
 /// equivalent (both pinned to one worker, best of `repeats`), and returns
@@ -192,7 +168,7 @@ inline void RecordAlgoSpeedup(const std::string& name,
   bench_json_internal::ProfileWorkload(optimized, &extra);
   SetParallelThreads(0);
   bench_json_internal::WriteBenchJson(name, baseline_ms, optimized_ms,
-                                      optimized_ms, parallel_ms, threads,
+                                      parallel_ms, threads,
                                       std::move(extra));
 }
 

@@ -258,11 +258,18 @@ void PrintOnce() {
       }
       benchmark::DoNotOptimize(acc);
     };
-    // Monitor overhead on a flat-tree batch workload, the shipped
-    // PredictProbaBatch path the streaming hook instruments:
-    //   off    — monitoring disabled (the hook is one relaxed load);
-    //   idle   — monitoring enabled, no stream context installed;
-    //   active — enabled with a stream context, one drain per batch.
+    // Sink overhead on a flat-tree batch workload, the shipped
+    // PredictProbaBatch path the streaming hook instruments, against the
+    // same batch with every sink off:
+    //   recorder / eventlog — the sink armed and retaining, nothing
+    //     drained or dumped ("idle");
+    //   monitor idle   — monitoring enabled, no stream context installed;
+    //   monitor active — enabled with a stream context, one drain per
+    //     batch.
+    // The two *_idle_overhead_pct fields are gated absolutely by
+    // bench_compare.py (--max-overhead-pct); the nested objects add
+    // informational timings, for the recorder and event log also of the
+    // span-dense fairness-SHAP batch and worst-slice-search workloads.
     Dataset mdata = WideDataset(4000, 308);
     RandomForest forest;
     RandomForestOptions fopts;
@@ -271,49 +278,21 @@ void PrintOnce() {
     auto batch = [&] {
       benchmark::DoNotOptimize(forest.PredictProbaBatch(mdata.x()));
     };
+    obs::MonitorOptions mopts;
+    mopts.window = 512;
+    obs::FairnessMonitor monitor("bench/obs_overhead", mopts);
+    auto monitored = [&] {
+      obs::ScopedStreamContext stream(&monitor, mdata.groups().data(),
+                                      mdata.labels().data(), mdata.size());
+      batch();
+      monitor.Drain();
+    };
     // Fields added to BENCH_obs_overhead.json next to the timings.
     obs::Json obs_extra;
     using bench_json_internal::Ms;
     const auto pct = [](double off, double on) {
       return off > 0.0 ? 100.0 * (on / off - 1.0) : 0.0;
     };
-    {
-      obs::MonitorOptions mopts;
-      mopts.window = 512;
-      obs::FairnessMonitor monitor("bench/obs_overhead", mopts);
-      SetParallelThreads(1);
-      obs::SetMonitoringEnabled(false);
-      const double off_ms = bench_json_internal::TimeMs(batch, 5);
-      obs::SetMonitoringEnabled(true);
-      const double idle_ms = bench_json_internal::TimeMs(batch, 5);
-      const double active_ms = bench_json_internal::TimeMs(
-          [&] {
-            obs::ScopedStreamContext stream(&monitor,
-                                            mdata.groups().data(),
-                                            mdata.labels().data(),
-                                            mdata.size());
-            batch();
-            monitor.Drain();
-          },
-          5);
-      obs::SetMonitoringEnabled(false);
-      SetParallelThreads(0);
-      obs_extra["monitor"] = {
-          {"off_ms", Ms(off_ms)},
-          {"idle_ms", Ms(idle_ms)},
-          {"active_ms", Ms(active_ms)},
-          {"idle_overhead_pct", obs::Json::Fixed(pct(off_ms, idle_ms), 1)},
-          {"active_overhead_pct",
-           obs::Json::Fixed(pct(off_ms, active_ms), 1)}};
-    }
-
-    // Flight-recorder and event-log idle overhead: the same flat-tree
-    // batch with the recorder (then the event log) enabled vs both off.
-    // "Idle" = the sink is armed and retaining, nothing is drained or
-    // dumped. The two *_idle_overhead_pct fields are gated absolutely by
-    // bench_compare.py (--max-overhead-pct); the nested objects add
-    // informational on/off timings for the span-dense fairness-SHAP
-    // batch and worst-slice-search workloads from PRs 8/9.
     {
       Dataset credit = CreditGen().Generate(1024, 313);
       DecisionTree ctree;
@@ -335,18 +314,20 @@ void PrintOnce() {
         return bench_json_internal::TimeMs(fn, 3);
       };
       SetParallelThreads(1);
-      // Interleave the off / recorder-on / eventlog-on states and keep
-      // the per-state minimum over 25 bracketed rounds of best-of-3
-      // samples (~8s wall: longer than the CPU-contention bursts a
-      // shared host throws at this container, so every state gets
-      // quiet-window samples). Scheduler noise is strictly additive, so
-      // floor-vs-floor is the estimator of the sinks' intrinsic cost —
-      // which is what an absolute 2% budget has to bound; sequential
-      // on/off blocks or per-round ratio medians both swing several
-      // percent run to run at this workload scale.
+      // Interleave the off / recorder-on / eventlog-on / monitor-idle /
+      // monitor-active states and keep the per-state minimum over 25
+      // bracketed rounds of best-of-3 samples (several seconds of wall:
+      // longer than the CPU-contention bursts a shared host throws at
+      // this container, so every state gets quiet-window samples).
+      // Scheduler noise is strictly additive, so floor-vs-floor is the
+      // estimator of the sinks' intrinsic cost — which is what an
+      // absolute 2% budget has to bound; sequential on/off blocks or
+      // per-round ratio medians both swing several percent run to run
+      // at this workload scale.
       double batch_off = 1e300, fs_off = 1e300, ss_off = 1e300;
       double batch_rec = 1e300, fs_rec = 1e300, ss_rec = 1e300;
       double batch_ev = 1e300, fs_ev = 1e300, ss_ev = 1e300;
+      double monitor_idle = 1e300, monitor_active = 1e300;
       // Host-level CPU steal on a single-vCPU guest can outlast one
       // sampling pass, so the floors carry across up to three passes —
       // they only ever settle downward toward the intrinsic cost. A
@@ -368,6 +349,10 @@ void PrintOnce() {
           fs_ev = std::min(fs_ev, once(fshap));
           ss_ev = std::min(ss_ev, once(ssearch));
           obs::SetEventLogEnabled(false);
+          obs::SetMonitoringEnabled(true);
+          monitor_idle = std::min(monitor_idle, once(batch));
+          monitor_active = std::min(monitor_active, once(monitored));
+          obs::SetMonitoringEnabled(false);
           batch_off = std::min(batch_off, once(batch));
         }
         rec_pct = pct(batch_off, batch_rec);
@@ -389,6 +374,14 @@ void PrintOnce() {
       obs_extra["eventlog_idle_overhead_pct"] = obs::Json::Fixed(ev_pct, 1);
       obs_extra["recorder"] = sink(batch_rec, fs_rec, ss_rec);
       obs_extra["eventlog"] = sink(batch_ev, fs_ev, ss_ev);
+      obs_extra["monitor"] = {
+          {"off_ms", Ms(batch_off)},
+          {"idle_ms", Ms(monitor_idle)},
+          {"active_ms", Ms(monitor_active)},
+          {"idle_overhead_pct",
+           obs::Json::Fixed(pct(batch_off, monitor_idle), 1)},
+          {"active_overhead_pct",
+           obs::Json::Fixed(pct(batch_off, monitor_active), 1)}};
     }
 
     RecordAlgoSpeedup(

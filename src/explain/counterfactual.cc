@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "src/obs/obs.h"
-#include "src/util/kdtree.h"
+#include "src/util/hash.h"
 #include "src/util/kernels.h"
 #include "src/util/parallel.h"
 
@@ -177,10 +176,8 @@ CounterfactualResult GrowingSpheresCounterfactual(
     r.valid = true;
     return r;
   }
-  // Every candidate draws from a stream forked off one root, so the
-  // sphere samples (and therefore the counterfactual) are identical for
-  // every thread count; candidates within an iteration are scored in
-  // parallel and the winner is the (distance, sample index) minimum.
+  // Every candidate draws from its own stream forked off one root; the
+  // winner is the first sample at the minimum distance.
   const Rng root = rng->Split();
   // Range scaling hoisted out of the sampling loops: one schema walk per
   // search instead of one virtual-ish accessor per sample per feature.
@@ -188,123 +185,58 @@ CounterfactualResult GrowingSpheresCounterfactual(
   Vector inv_ranges(ranges.size());
   for (size_t c = 0; c < ranges.size(); ++c)
     inv_ranges[c] = 1.0 / ranges[c];
+  const size_t samples = config.samples_per_sphere;
+  Vector dir(x.size()), cand, best;
   double radius = config.initial_radius;
   size_t iter = 0;
   for (; iter < config.max_iterations; ++iter) {
-    const size_t samples = config.samples_per_sphere;
-    struct Best {
-      Vector cand;
-      double dist = 0.0;
-      size_t sample = 0;
-    };
-    const std::vector<ChunkRange> chunks = DeterministicChunks(0, samples);
-    std::vector<Best> bests(chunks.size());
-    ParallelForChunks(0, samples, [&](const ChunkRange& chunk) {
-      Best best;
-      Vector dir(x.size());
-      for (size_t s = chunk.begin; s < chunk.end; ++s) {
-        Rng sample_rng = root.Fork(iter * samples + s);
-        // Random direction on the unit sphere, scaled per-feature by
-        // range: cand = x + (r / |dir|) * (range ⊙ dir).
-        Vector cand = x;
-        for (size_t c = 0; c < dir.size(); ++c) dir[c] = sample_rng.Normal();
-        const double norm = std::sqrt(
-            std::max(kernels::Dot(dir.data(), dir.data(), dir.size()),
-                     1e-12));
-        const double r = radius * (0.7 + 0.3 * sample_rng.Uniform());
-        kernels::ScaledAxpy(r / norm, ranges.data(), dir.data(),
-                            cand.data(), cand.size());
-        Project(schema, x, config.respect_actionability, &cand);
-        if (model.Predict(cand) == target) {
-          const double dist = std::sqrt(kernels::WeightedSquaredDistance(
-              x.data(), cand.data(), inv_ranges.data(), x.size()));
-          if (best.cand.empty() || dist < best.dist) {
-            best.cand = std::move(cand);
-            best.dist = dist;
-            best.sample = s;
-          }
-        }
-      }
-      bests[chunk.index] = std::move(best);
-    });
-    Vector best_cand;
     double best_dist = 0.0;
-    size_t best_sample = 0;
-    for (auto& b : bests) {
-      if (b.cand.empty()) continue;
-      if (best_cand.empty() || b.dist < best_dist ||
-          (b.dist == best_dist && b.sample < best_sample)) {
-        best_cand = std::move(b.cand);
-        best_dist = b.dist;
-        best_sample = b.sample;
+    for (size_t s = 0; s < samples; ++s) {
+      Rng sample_rng = root.Fork(iter * samples + s);
+      // Random direction on the unit sphere, scaled per-feature by
+      // range: cand = x + (r / |dir|) * (range ⊙ dir).
+      cand = x;
+      for (size_t c = 0; c < dir.size(); ++c) dir[c] = sample_rng.Normal();
+      const double norm = std::sqrt(
+          std::max(kernels::Dot(dir.data(), dir.data(), dir.size()), 1e-12));
+      const double r = radius * (0.7 + 0.3 * sample_rng.Uniform());
+      kernels::ScaledAxpy(r / norm, ranges.data(), dir.data(), cand.data(),
+                          cand.size());
+      Project(schema, x, config.respect_actionability, &cand);
+      if (model.Predict(cand) != target) continue;
+      const double dist = std::sqrt(kernels::WeightedSquaredDistance(
+          x.data(), cand.data(), inv_ranges.data(), x.size()));
+      if (best.empty() || dist < best_dist) {
+        best = cand;
+        best_dist = dist;
       }
     }
-    if (!best_cand.empty()) {
+    if (!best.empty()) {
       XFAIR_COUNTER_ADD("cf/samples_evaluated", (iter + 1) * samples);
       XFAIR_HISTOGRAM_OBSERVE("cf/search_iterations", iter + 1);
-      return Finish(model, schema, x, std::move(best_cand), target, iter);
+      return Finish(model, schema, x, std::move(best), target, iter);
     }
     radius *= config.radius_growth;
   }
-  XFAIR_COUNTER_ADD("cf/samples_evaluated",
-                    config.max_iterations * config.samples_per_sphere);
+  XFAIR_COUNTER_ADD("cf/samples_evaluated", config.max_iterations * samples);
   XFAIR_HISTOGRAM_OBSERVE("cf/search_iterations", config.max_iterations);
   XFAIR_COUNTER_ADD("cf/search_failures", 1);
   return Invalid(x, iter);
 }
 
-GroupCounterfactuals CounterfactualsForNegatives(
-    const Model& model, const Dataset& data,
+std::vector<CounterfactualResult> CounterfactualsForRows(
+    const Model& model, const Dataset& data, const std::vector<size_t>& rows,
     const CounterfactualConfig& config, Rng* rng) {
-  XFAIR_SPAN("cf/group_search");
-  GroupCounterfactuals out;
-  // One batched pass finds the negatives; each then gets an independent
-  // forked Rng stream keyed on its row index, so the per-instance
-  // searches can run in parallel with thread-count-independent results.
-  const std::vector<int> predictions = model.PredictBatch(data.x());
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (predictions[i] != config.target_class) out.indices.push_back(i);
-  }
-  // Optional seeding: index the rows already predicted as the target
-  // class in range-normalized coordinates (the units the sphere radius
-  // lives in), so each search can skip spheres smaller than half the
-  // distance to the nearest known flip.
-  const size_t d = data.num_features();
-  // Range normalization via the standardization kernel with zero means:
-  // (x - 0) / range is exactly x / range.
-  const Vector ranges = FeatureRanges(data.schema());
-  const Vector zeros(d, 0.0);
-  KdTree index;
-  if (config.seed_radius_from_neighbors) {
-    std::vector<size_t> targets;
-    for (size_t i = 0; i < data.size(); ++i) {
-      if (predictions[i] == config.target_class) targets.push_back(i);
-    }
-    if (!targets.empty()) {
-      Matrix pts(targets.size(), d);
-      for (size_t r = 0; r < targets.size(); ++r) {
-        kernels::Standardize(data.x().RowPtr(targets[r]), zeros.data(),
-                             ranges.data(), pts.RowPtr(r), d);
-      }
-      index = KdTree(pts);
-    }
-  }
+  XFAIR_CHECK(rng != nullptr);
+  XFAIR_SPAN("cf/rows");
   const Rng root = rng->Split();
-  out.results.resize(out.indices.size());
-  ParallelFor(0, out.indices.size(), [&](size_t k) {
-    const size_t i = out.indices[k];
-    Rng instance_rng = root.Fork(i);
-    CounterfactualConfig cfg = config;
-    if (!index.empty()) {
-      Vector q(d);
-      kernels::Standardize(data.x().RowPtr(i), zeros.data(), ranges.data(),
-                           q.data(), d);
-      const std::vector<size_t> nn = index.KNearest(q.data(), 1);
-      const double dist = std::sqrt(index.SquaredDistance(q.data(), nn[0]));
-      cfg.initial_radius = std::max(config.initial_radius, 0.5 * dist);
-    }
-    out.results[k] = GrowingSpheresCounterfactual(
-        model, data.schema(), data.instance(i), cfg, &instance_rng);
+  std::vector<CounterfactualResult> out(rows.size());
+  ParallelFor(0, rows.size(), [&](size_t k) {
+    const Vector x = data.instance(rows[k]);
+    Rng row_rng =
+        root.Fork(Fnv1a(kFnv1aBasis, x.data(), x.size() * sizeof(double)));
+    out[k] = GrowingSpheresCounterfactual(model, data.schema(), x, config,
+                                          &row_rng);
   });
   return out;
 }

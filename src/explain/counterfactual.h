@@ -45,13 +45,6 @@ struct CounterfactualConfig {
   double radius_growth = 1.3;
   /// Growing spheres: candidate points sampled per sphere.
   size_t samples_per_sphere = 40;
-  /// CounterfactualsForNegatives only: seed each instance's initial
-  /// radius at half its normalized distance to the nearest data row
-  /// already predicted as the target class (KD-tree lookup), skipping the
-  /// small spheres that cannot contain a class flip. Results may differ
-  /// from the unseeded search (different spheres are sampled) but remain
-  /// valid, feasible, and deterministic.
-  bool seed_radius_from_neighbors = false;
 };
 
 /// Range-normalized L2 distance: each coordinate is divided by its schema
@@ -68,19 +61,20 @@ CounterfactualResult WachterCounterfactual(const GradientModel& model,
                                            const CounterfactualConfig& config);
 
 /// Black-box counterfactual via growing spheres + greedy sparsification.
+/// Each sphere sample draws from its own stream forked off one split of
+/// `rng`; the winner is the first sample at the minimum distance.
 CounterfactualResult GrowingSpheresCounterfactual(
     const Model& model, const Schema& schema, const Vector& x,
     const CounterfactualConfig& config, Rng* rng);
 
-/// Convenience: counterfactuals for every instance of `data` currently
-/// predicted as 1 - target_class, using the growing-spheres generator.
-/// Returns one result per such instance, along with the instance indices.
-struct GroupCounterfactuals {
-  std::vector<size_t> indices;
-  std::vector<CounterfactualResult> results;
-};
-GroupCounterfactuals CounterfactualsForNegatives(
-    const Model& model, const Dataset& data,
+/// The growing-spheres search for each of `rows` (indices into `data`),
+/// one result per row in the order given: the one way to search a set of
+/// rows. Rows run in parallel. Each draws from a stream forked off one
+/// split of `rng` and keyed on an FNV-1a hash of the row's feature bytes,
+/// so a row's counterfactual depends on its content alone: not on its
+/// position, on the other rows searched, or on the thread count.
+std::vector<CounterfactualResult> CounterfactualsForRows(
+    const Model& model, const Dataset& data, const std::vector<size_t>& rows,
     const CounterfactualConfig& config, Rng* rng);
 
 }  // namespace xfair

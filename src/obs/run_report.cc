@@ -8,18 +8,10 @@
 #include "src/obs/json.h"
 #include "src/obs/monitor.h"
 #include "src/obs/recorder.h"
+#include "src/util/hash.h"
 
 namespace xfair::obs {
 namespace {
-
-uint64_t Fnv1a(uint64_t h, const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// What identifies a run: method, configuration, seed and dataset.
 Json ProvenanceJson(const RunReport& r) {
@@ -33,7 +25,7 @@ Json ProvenanceJson(const RunReport& r) {
 }  // namespace
 
 uint64_t DatasetFingerprint(const Dataset& data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kFnv1aBasis;
   const size_t n = data.size(), d = data.num_features();
   h = Fnv1a(h, &n, sizeof(n));
   h = Fnv1a(h, &d, sizeof(d));

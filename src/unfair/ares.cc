@@ -22,9 +22,10 @@ bool MatchesBin(const Discretizer& disc, const Dataset& data, size_t i,
 AresReport BuildRecourseSet(const Model& model, const Dataset& data,
                             const AresOptions& options) {
   AresReport report;
+  const std::vector<int> predictions = model.PredictAll(data);
   std::vector<size_t> affected;
   for (size_t i = 0; i < data.size(); ++i)
-    if (model.Predict(data.instance(i)) == 0) affected.push_back(i);
+    if (predictions[i] == 0) affected.push_back(i);
   if (affected.empty()) return report;
 
   Discretizer disc(data, options.bins);

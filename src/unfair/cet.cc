@@ -156,9 +156,10 @@ std::string CetReport::ToString(const Schema& schema) const {
 CetReport BuildCounterfactualTree(const Model& model, const Dataset& data,
                                   const CetOptions& options) {
   CetReport report;
+  const std::vector<int> predictions = model.PredictAll(data);
   std::vector<size_t> affected;
   for (size_t i = 0; i < data.size(); ++i)
-    if (model.Predict(data.instance(i)) == 0) affected.push_back(i);
+    if (predictions[i] == 0) affected.push_back(i);
   if (affected.empty()) {
     report.nodes.emplace_back();  // Trivial empty leaf.
     report.num_leaves = 1;

@@ -43,8 +43,8 @@ Vector Translate(const Schema& schema, const Vector& x,
 }
 
 GlobalDirection FitForGroup(const Model& model, const Dataset& data,
-                            int group, const GlobeCeOptions& options,
-                            Rng* rng) {
+                            const std::vector<int>& predictions, int group,
+                            const GlobeCeOptions& options, Rng* rng) {
   GlobalDirection out;
   const Schema& schema = data.schema();
   const size_t d = data.num_features();
@@ -52,28 +52,27 @@ GlobalDirection FitForGroup(const Model& model, const Dataset& data,
   // Members of the group currently denied the favorable outcome.
   std::vector<size_t> negatives;
   for (size_t i = 0; i < data.size(); ++i) {
-    if (data.group(i) == group &&
-        model.Predict(data.instance(i)) == 0) {
-      negatives.push_back(i);
-    }
+    if (data.group(i) == group && predictions[i] == 0) negatives.push_back(i);
   }
   out.direction.assign(d, 0.0);
   if (negatives.empty()) return out;
 
   // Estimate the direction from sampled individual CF deltas
-  // (range-normalized so all features are commensurate).
+  // (range-normalized so all features are commensurate), searched by the
+  // row-parallel engine and summed in sample order.
   const size_t sample_size =
       std::min(options.direction_sample, negatives.size());
-  auto sample = rng->SampleWithoutReplacement(negatives.size(), sample_size);
+  std::vector<size_t> sample =
+      rng->SampleWithoutReplacement(negatives.size(), sample_size);
+  for (size_t& s : sample) s = negatives[s];
+  const std::vector<CounterfactualResult> results =
+      CounterfactualsForRows(model, data, sample, options.cf_config, rng);
   size_t used = 0;
-  for (size_t s : sample) {
-    const size_t i = negatives[s];
-    const Vector x = data.instance(i);
-    auto r = GrowingSpheresCounterfactual(model, schema, x,
-                                          options.cf_config, rng);
-    if (!r.valid) continue;
+  for (size_t k = 0; k < sample.size(); ++k) {
+    if (!results[k].valid) continue;
+    const double* x = data.x().RowPtr(sample[k]);
     for (size_t c = 0; c < d; ++c) {
-      out.direction[c] += (r.counterfactual[c] - x[c]) /
+      out.direction[c] += (results[k].counterfactual[c] - x[c]) /
                           FeatureRange(schema.feature(c));
     }
     ++used;
@@ -110,9 +109,12 @@ GlobalDirection FitForGroup(const Model& model, const Dataset& data,
 GlobeCeReport FitGlobeCe(const Model& model, const Dataset& data,
                          const GlobeCeOptions& options, Rng* rng) {
   XFAIR_CHECK(rng != nullptr);
+  const std::vector<int> predictions = model.PredictAll(data);
   GlobeCeReport report;
-  report.protected_group = FitForGroup(model, data, 1, options, rng);
-  report.non_protected_group = FitForGroup(model, data, 0, options, rng);
+  report.protected_group =
+      FitForGroup(model, data, predictions, 1, options, rng);
+  report.non_protected_group =
+      FitForGroup(model, data, predictions, 0, options, rng);
   report.cost_gap = report.protected_group.mean_cost -
                     report.non_protected_group.mean_cost;
   report.coverage_gap = report.non_protected_group.coverage -

@@ -16,13 +16,19 @@ PrecofReport BuildReport(const Model& model, const Dataset& data,
   Vector changed[2] = {Vector(d, 0.0), Vector(d, 0.0)};
   size_t count[2] = {0, 0};
 
-  for (size_t i = 0; i < data.size(); ++i) {
-    const Vector x = data.instance(i);
-    if (model.Predict(x) != 0) continue;
-    const auto r =
-        GrowingSpheresCounterfactual(model, data.schema(), x, config, rng);
+  // Every denied row, from one batched pass, searched by the row-parallel
+  // engine; the change counts reduce in row order.
+  const std::vector<int> predictions = model.PredictAll(data);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < data.size(); ++i)
+    if (predictions[i] == 0) rows.push_back(i);
+  const std::vector<CounterfactualResult> results =
+      CounterfactualsForRows(model, data, rows, config, rng);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const CounterfactualResult& r = results[k];
     if (!r.valid) continue;
-    const int g = data.group(i);
+    const int g = data.group(rows[k]);
+    const double* x = data.x().RowPtr(rows[k]);
     ++count[g];
     for (size_t c = 0; c < d; ++c) {
       if (std::fabs(r.counterfactual[c] - x[c]) > 1e-12)

@@ -9,8 +9,7 @@
 // index wins, regardless of traversal order. Squared distances are
 // accumulated in ascending coordinate order, matching the brute-force
 // reference bit for bit; the index is therefore a drop-in replacement for
-// the O(n*d) scan in KnnClassifier and the neighbor-seeded counterfactual
-// search.
+// the O(n*d) scan in KnnClassifier.
 
 #ifndef XFAIR_UTIL_KDTREE_H_
 #define XFAIR_UTIL_KDTREE_H_
@@ -33,7 +32,6 @@ class KdTree {
 
   /// Number of indexed rows.
   size_t size() const { return points_.rows(); }
-  bool empty() const { return points_.rows() == 0; }
 
   /// The indexed points (row order preserved from construction).
   const Matrix& points() const { return points_; }

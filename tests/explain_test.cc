@@ -137,18 +137,66 @@ TEST(Counterfactual, NormalizedDistanceIsScaleAware) {
               1e-12);
 }
 
-TEST(Counterfactual, ForNegativesCoversAllNegatives) {
+/// Rows of `data` that `model` denies, in row order.
+std::vector<size_t> DeniedRows(const Model& model, const Dataset& data) {
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < data.size(); ++i)
+    if (model.Predict(data.instance(i)) == 0) rows.push_back(i);
+  return rows;
+}
+
+TEST(Counterfactual, ForRowsMatchesEachRowSearchedAlone) {
+  // One result per row, in the order given. Each row's stream is keyed on
+  // its feature bytes, so a row gets the same counterfactual whether it
+  // is searched among the others, in reverse order, or alone.
   auto f = CreditFixture::Make();
-  Rng rng(3);
-  auto group = CounterfactualsForNegatives(f.model, f.data, {}, &rng);
-  ASSERT_EQ(group.indices.size(), group.results.size());
-  for (size_t k = 0; k < group.indices.size(); ++k) {
-    EXPECT_EQ(f.model.Predict(f.data.instance(group.indices[k])), 0);
+  const std::vector<size_t> rows = DeniedRows(f.model, f.data);
+  ASSERT_FALSE(rows.empty());
+  const std::vector<size_t> reversed(rows.rbegin(), rows.rend());
+  Rng rng(3), reversed_rng(3);
+  const auto results = CounterfactualsForRows(f.model, f.data, rows, {}, &rng);
+  const auto backwards =
+      CounterfactualsForRows(f.model, f.data, reversed, {}, &reversed_rng);
+  ASSERT_EQ(results.size(), rows.size());
+  ASSERT_EQ(backwards.size(), rows.size());
+  for (size_t k = 0; k < rows.size(); ++k) {
+    EXPECT_EQ(results[k].counterfactual,
+              backwards[rows.size() - 1 - k].counterfactual);
+    if (k % 16 != 0) continue;
+    Rng alone_rng(3);
+    const auto alone =
+        CounterfactualsForRows(f.model, f.data, {rows[k]}, {}, &alone_rng);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0].counterfactual, results[k].counterfactual);
+    EXPECT_EQ(alone[0].distance, results[k].distance);
   }
-  size_t negatives = 0;
-  for (size_t i = 0; i < f.data.size(); ++i)
-    negatives += (f.model.Predict(f.data.instance(i)) == 0);
-  EXPECT_EQ(group.indices.size(), negatives);
+}
+
+TEST(Counterfactual, ForRowsStayValidAndFeasible) {
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  const Dataset data = CreditGen(cfg).Generate(150, 95);
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(data).ok());
+  const std::vector<size_t> rows = DeniedRows(model, data);
+  ASSERT_FALSE(rows.empty());
+  CounterfactualConfig config;
+  Rng rng(96);
+  const auto results = CounterfactualsForRows(model, data, rows, config, &rng);
+  size_t valid = 0;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const auto& r = results[k];
+    if (!r.valid) continue;
+    ++valid;
+    const Vector x = data.instance(rows[k]);
+    EXPECT_EQ(model.Predict(r.counterfactual), config.target_class);
+    // Immutables pinned, directional features one-way (CreditGen schema).
+    EXPECT_DOUBLE_EQ(r.counterfactual[0], x[0]);
+    EXPECT_DOUBLE_EQ(r.counterfactual[1], x[1]);
+    EXPECT_GE(r.counterfactual[2], x[2]);
+    EXPECT_LE(r.counterfactual[5], x[5]);
+  }
+  EXPECT_GT(valid, rows.size() / 2);
 }
 
 // --- Shapley engine ---

@@ -29,9 +29,12 @@
 #include "src/model/random_forest.h"
 #include "src/model/softmax_regression.h"
 #include "src/obs/obs.h"
+#include "src/unfair/burden.h"
 #include "src/unfair/facts.h"
 #include "src/unfair/fairness_shap.h"
+#include "src/unfair/globece.h"
 #include "src/unfair/gopher.h"
+#include "src/unfair/precof.h"
 #include "src/unfair/slice_search.h"
 #include "src/util/kdtree.h"
 #include "src/util/rng.h"
@@ -568,31 +571,6 @@ TEST(ParallelModel, KnnNeighborsAndBatchAreThreadCountInvariant) {
       });
 }
 
-TEST(ParallelExplain, SeededGroupCounterfactualsAreThreadCountInvariant) {
-  BiasConfig cfg;
-  cfg.score_shift = 1.0;
-  Dataset data = CreditGen(cfg).Generate(120, 512);
-  LogisticRegression model;
-  ASSERT_TRUE(model.Fit(data).ok());
-  CounterfactualConfig config;
-  config.seed_radius_from_neighbors = true;
-  using Out = std::pair<std::vector<size_t>, std::vector<Vector>>;
-  ExpectSameAcrossThreadCounts<Out>(
-      [&] {
-        Rng rng(513);
-        auto group = CounterfactualsForNegatives(model, data, config, &rng);
-        std::vector<Vector> cfs;
-        for (const auto& r : group.results) cfs.push_back(r.counterfactual);
-        return Out{group.indices, cfs};
-      },
-      [](const Out& a, const Out& b) {
-        EXPECT_EQ(a.first, b.first);
-        ASSERT_EQ(a.second.size(), b.second.size());
-        for (size_t i = 0; i < a.second.size(); ++i)
-          EXPECT_EQ(a.second[i], b.second[i]);
-      });
-}
-
 TEST(ParallelModel, LogisticFitAndBatchAreThreadCountInvariant) {
   // The kernel-backed LR fit and its chunk-parallel PredictProbaBatch
   // must produce bit-identical weights and probabilities at 1/2/8
@@ -652,26 +630,89 @@ TEST(ParallelModel, ForestFitIsThreadCountInvariant) {
       });
 }
 
-TEST(ParallelExplain, GroupCounterfactualsAreThreadCountInvariant) {
+TEST(ParallelExplain, CounterfactualsForRowsAreThreadCountInvariant) {
   BiasConfig cfg;
   cfg.score_shift = 1.0;
   Dataset data = CreditGen(cfg).Generate(120, 505);
   LogisticRegression model;
   ASSERT_TRUE(model.Fit(data).ok());
-  using Out = std::pair<std::vector<size_t>, std::vector<Vector>>;
-  ExpectSameAcrossThreadCounts<Out>(
+  std::vector<size_t> rows;
+  const std::vector<int> predictions = model.PredictAll(data);
+  for (size_t i = 0; i < data.size(); ++i)
+    if (predictions[i] == 0) rows.push_back(i);
+  ASSERT_FALSE(rows.empty());
+  ExpectSameAcrossThreadCounts<std::vector<Vector>>(
       [&] {
         Rng rng(506);
-        auto group = CounterfactualsForNegatives(model, data, {}, &rng);
         std::vector<Vector> cfs;
-        for (const auto& r : group.results) cfs.push_back(r.counterfactual);
-        return Out{group.indices, cfs};
+        for (const auto& r :
+             CounterfactualsForRows(model, data, rows, {}, &rng))
+          cfs.push_back(r.counterfactual);
+        return cfs;
+      },
+      [](const std::vector<Vector>& a, const std::vector<Vector>& b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+      });
+}
+
+TEST(ParallelUnfair, CounterfactualMetricsAreThreadCountInvariant) {
+  // Burden (both scopes), NAWB, PreCoF and GLOBE-CE all reduce over the
+  // row-parallel counterfactual engine in row order.
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  cfg.proxy_strength = 0.6;
+  Dataset data = CreditGen(cfg).Generate(200, 507);
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(data).ok());
+  struct Out {
+    BurdenReport all, fn;
+    NawbReport nawb;
+    PrecofReport precof;
+    GlobeCeReport globe;
+  };
+  ExpectSameAcrossThreadCounts<Out>(
+      [&] {
+        Rng rng(508);
+        Out o;
+        o.all = ComputeBurden(model, data, BurdenScope::kAllNegatives, {},
+                              &rng);
+        o.fn = ComputeBurden(model, data, BurdenScope::kFalseNegatives, {},
+                             &rng);
+        o.nawb = ComputeNawb(model, data, {}, &rng);
+        o.precof = PrecofImplicitBias(data, &rng);
+        o.globe = FitGlobeCe(model, data, {}, &rng);
+        return o;
       },
       [](const Out& a, const Out& b) {
-        EXPECT_EQ(a.first, b.first);
-        ASSERT_EQ(a.second.size(), b.second.size());
-        for (size_t i = 0; i < a.second.size(); ++i)
-          EXPECT_EQ(a.second[i], b.second[i]);
+        const auto same_burden = [](const BurdenReport& x,
+                                    const BurdenReport& y) {
+          EXPECT_EQ(x.burden_protected, y.burden_protected);
+          EXPECT_EQ(x.burden_non_protected, y.burden_non_protected);
+          EXPECT_EQ(x.counterfactuals_protected, y.counterfactuals_protected);
+          EXPECT_EQ(x.counterfactuals_non_protected,
+                    y.counterfactuals_non_protected);
+          EXPECT_EQ(x.failures, y.failures);
+        };
+        same_burden(a.all, b.all);
+        same_burden(a.fn, b.fn);
+        EXPECT_EQ(a.nawb.nawb_protected, b.nawb.nawb_protected);
+        EXPECT_EQ(a.nawb.nawb_non_protected, b.nawb.nawb_non_protected);
+        EXPECT_EQ(a.precof.change_freq_protected,
+                  b.precof.change_freq_protected);
+        EXPECT_EQ(a.precof.change_freq_non_protected,
+                  b.precof.change_freq_non_protected);
+        EXPECT_EQ(a.precof.ranked_features, b.precof.ranked_features);
+        EXPECT_EQ(a.globe.protected_group.direction,
+                  b.globe.protected_group.direction);
+        EXPECT_EQ(a.globe.protected_group.min_scales,
+                  b.globe.protected_group.min_scales);
+        EXPECT_EQ(a.globe.non_protected_group.direction,
+                  b.globe.non_protected_group.direction);
+        EXPECT_EQ(a.globe.non_protected_group.min_scales,
+                  b.globe.non_protected_group.min_scales);
+        EXPECT_EQ(a.globe.cost_gap, b.globe.cost_gap);
+        EXPECT_EQ(a.globe.coverage_gap, b.globe.coverage_gap);
       });
 }
 

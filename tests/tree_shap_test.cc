@@ -11,7 +11,6 @@
 #include <cmath>
 
 #include "src/data/generators.h"
-#include "src/explain/counterfactual.h"
 #include "src/model/knn.h"
 #include "src/model/logistic_regression.h"
 #include "src/obs/obs.h"
@@ -625,35 +624,6 @@ TEST(GopherBitsetEngine, HighCardinalitySchemaStaysOnFastPath) {
     EXPECT_EQ(fast->patterns[i].estimated_gap_change,
               slow->patterns[i].estimated_gap_change);
   }
-}
-
-// --- Neighbor-seeded growing spheres ----------------------------------
-
-TEST(SeededCounterfactuals, StayValidAndFeasible) {
-  BiasConfig cfg;
-  cfg.score_shift = 1.0;
-  const Dataset data = CreditGen(cfg).Generate(150, 95);
-  LogisticRegression model;
-  ASSERT_TRUE(model.Fit(data).ok());
-  CounterfactualConfig config;
-  config.seed_radius_from_neighbors = true;
-  Rng rng(96);
-  const auto group = CounterfactualsForNegatives(model, data, config, &rng);
-  ASSERT_FALSE(group.indices.empty());
-  size_t valid = 0;
-  for (size_t k = 0; k < group.indices.size(); ++k) {
-    const auto& r = group.results[k];
-    if (!r.valid) continue;
-    ++valid;
-    const Vector& x = data.instance(group.indices[k]);
-    EXPECT_EQ(model.Predict(r.counterfactual), config.target_class);
-    // Immutables pinned, directional features one-way (CreditGen schema).
-    EXPECT_DOUBLE_EQ(r.counterfactual[0], x[0]);
-    EXPECT_DOUBLE_EQ(r.counterfactual[1], x[1]);
-    EXPECT_GE(r.counterfactual[2], x[2]);
-    EXPECT_LE(r.counterfactual[5], x[5]);
-  }
-  EXPECT_GT(valid, group.indices.size() / 2);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "src/data/generators.h"
 #include "src/model/decision_tree.h"
+#include "src/model/gbm.h"
 #include "src/unfair/ares.h"
 #include "src/unfair/burden.h"
 #include "src/unfair/causal_path.h"
@@ -91,7 +92,105 @@ TEST(Burden, FairWorldHasSmallGap) {
   EXPECT_LT(std::fabs(report.burden_gap), 0.15);
 }
 
+/// `data` with its rows in a seeded random order.
+Dataset Shuffled(const Dataset& data, uint64_t seed) {
+  std::vector<size_t> order(data.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(seed);
+  rng.Shuffle(&order);
+  return data.Subset(order);
+}
+
+/// `data` followed by a second copy of its rows.
+Dataset Doubled(const Dataset& data) {
+  std::vector<size_t> rows;
+  for (int copy = 0; copy < 2; ++copy)
+    for (size_t i = 0; i < data.size(); ++i) rows.push_back(i);
+  return data.Subset(rows);
+}
+
+TEST(Burden, RowShuffleAndDoublingKeepBurdenAndNawb) {
+  // Each row's search stream is keyed on its feature bytes, so the
+  // metrics belong to the rows, not to their positions or multiplicity.
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  const Dataset data = CreditGen(cfg).Generate(500, 81);
+  LogisticRegression lr;
+  ASSERT_TRUE(lr.Fit(data).ok());
+  GradientBoostedTrees gbm;
+  GbmOptions gbm_opts;
+  gbm_opts.num_rounds = 20;
+  ASSERT_TRUE(gbm.Fit(data, gbm_opts).ok());
+  for (const Model* model : {static_cast<const Model*>(&lr),
+                             static_cast<const Model*>(&gbm)}) {
+    SCOPED_TRACE(model->name());
+    const auto burden = [&](const Dataset& d, BurdenScope scope) {
+      Rng rng(82);
+      return ComputeBurden(*model, d, scope, {}, &rng);
+    };
+    const auto nawb = [&](const Dataset& d) {
+      Rng rng(83);
+      return ComputeNawb(*model, d, {}, &rng);
+    };
+    const BurdenScope scopes[] = {BurdenScope::kAllNegatives,
+                                  BurdenScope::kFalseNegatives};
+    std::vector<BurdenReport> base;
+    for (BurdenScope scope : scopes) base.push_back(burden(data, scope));
+    ASSERT_GT(base[1].counterfactuals_protected, 0u);
+    ASSERT_GT(base[1].counterfactuals_non_protected, 0u);
+    const NawbReport nawb_base = nawb(data);
+    for (size_t copies : {1, 2}) {
+      const Dataset copy = copies == 1 ? Shuffled(data, 84) : Doubled(data);
+      for (size_t k = 0; k < 2; ++k) {
+        const BurdenReport b = burden(copy, scopes[k]);
+        EXPECT_NEAR(b.burden_protected, base[k].burden_protected, 1e-12);
+        EXPECT_NEAR(b.burden_non_protected, base[k].burden_non_protected,
+                    1e-12);
+        EXPECT_NEAR(b.burden_gap, base[k].burden_gap, 1e-12);
+        EXPECT_EQ(b.counterfactuals_protected,
+                  copies * base[k].counterfactuals_protected);
+        EXPECT_EQ(b.counterfactuals_non_protected,
+                  copies * base[k].counterfactuals_non_protected);
+        EXPECT_EQ(b.failures, copies * base[k].failures);
+      }
+      const NawbReport n = nawb(copy);
+      EXPECT_NEAR(n.nawb_protected, nawb_base.nawb_protected, 1e-12);
+      EXPECT_NEAR(n.nawb_non_protected, nawb_base.nawb_non_protected, 1e-12);
+      EXPECT_NEAR(n.nawb_gap, nawb_base.nawb_gap, 1e-12);
+    }
+  }
+}
+
 // --- PreCoF ---
+
+TEST(Precof, RowShuffleAndDoublingKeepChangeFrequencies) {
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  const Dataset data = CreditGen(cfg).Generate(500, 85);
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(data).ok());
+  const auto precof = [&](const Dataset& d) {
+    Rng rng(86);
+    return PrecofExplicitBias(model, d, &rng);
+  };
+  const PrecofReport base = precof(data);
+  ASSERT_GT(base.counterfactuals_protected, 0u);
+  for (size_t copies : {1, 2}) {
+    const PrecofReport r =
+        precof(copies == 1 ? Shuffled(data, 87) : Doubled(data));
+    EXPECT_EQ(r.counterfactuals_protected,
+              copies * base.counterfactuals_protected);
+    EXPECT_EQ(r.counterfactuals_non_protected,
+              copies * base.counterfactuals_non_protected);
+    for (size_t c = 0; c < data.num_features(); ++c) {
+      EXPECT_NEAR(r.change_freq_protected[c], base.change_freq_protected[c],
+                  1e-12);
+      EXPECT_NEAR(r.change_freq_non_protected[c],
+                  base.change_freq_non_protected[c], 1e-12);
+    }
+    EXPECT_EQ(r.ranked_features, base.ranked_features);
+  }
+}
 
 TEST(Precof, ExplicitBiasFlagsSensitiveAttribute) {
   // Model with a huge direct penalty on the protected attribute: flipping

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/util/hash.h"
 #include "src/util/matrix.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -115,6 +116,17 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.Shuffle(&v);
   std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(Fnv1a, MatchesPublishedVectorsAndChains) {
+  // The dataset fingerprint and every counterfactual row stream are keyed
+  // on this hash, so its values are pinned to the published FNV-1a test
+  // vectors.
+  EXPECT_EQ(Fnv1a(kFnv1aBasis, "", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a(kFnv1aBasis, "a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a(kFnv1aBasis, "foobar", 6), 0x85944171f73967e8ULL);
+  EXPECT_EQ(Fnv1a(Fnv1a(kFnv1aBasis, "foo", 3), "bar", 3),
+            Fnv1a(kFnv1aBasis, "foobar", 6));
 }
 
 TEST(Matrix, IdentityMatVec) {
