@@ -12,7 +12,7 @@ BENCHES=(bench_kernels bench_fairness_shap bench_gopher bench_tree_fit)
 
 echo "== configure + build (Release) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build build-release -j --target "${BENCHES[@]}"
+cmake --build build-release -j "$(nproc)" --target "${BENCHES[@]}"
 
 for b in "${BENCHES[@]}"; do
   echo

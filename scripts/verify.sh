@@ -21,7 +21,7 @@ done
 
 echo "== tier-1: build + ctest =="
 cmake -B build -S . > /dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 echo
@@ -70,20 +70,20 @@ PY
 echo
 echo "== parallel_test under ThreadSanitizer (XFAIR_THREADS=8) =="
 cmake -B build-tsan -S . -DXFAIR_TSAN=ON > /dev/null
-cmake --build build-tsan -j --target parallel_test
+cmake --build build-tsan -j "$(nproc)" --target parallel_test
 XFAIR_THREADS=8 ./build-tsan/tests/parallel_test
 
 echo
 echo "== full suite under ASan + UBSan =="
 cmake -B build-asan -S . -DXFAIR_ASAN=ON -DXFAIR_UBSAN=ON > /dev/null
-cmake --build build-asan -j --target xfair_tests parallel_test
+cmake --build build-asan -j "$(nproc)" --target xfair_tests parallel_test
 ./build-asan/tests/xfair_tests
 XFAIR_THREADS=4 ./build-asan/tests/parallel_test
 
 echo
 echo "== XFAIR_SIMD=OFF: scalar kernels must pass the same goldens =="
 cmake -B build-nosimd -S . -DXFAIR_SIMD=OFF > /dev/null
-cmake --build build-nosimd -j --target xfair_tests parallel_test
+cmake --build build-nosimd -j "$(nproc)" --target xfair_tests parallel_test
 ./build-nosimd/tests/xfair_tests
 ./build-nosimd/tests/parallel_test \
   --gtest_filter='BatchConsistencyTest.*:ParallelModel.*:ParallelExplain.*:ParallelUnfair.*'
@@ -91,7 +91,7 @@ cmake --build build-nosimd -j --target xfair_tests parallel_test
 echo
 echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
 cmake -B build-noobs -S . -DXFAIR_OBS=OFF > /dev/null
-cmake --build build-noobs -j --target xfair_tests example_monitor_stream
+cmake --build build-noobs -j "$(nproc)" --target xfair_tests example_monitor_stream
 ./build-noobs/tests/xfair_tests \
   --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*'
 # The same example binary must run with zero monitoring output when the
@@ -132,8 +132,8 @@ echo "== tree_shap + fairness_shap + gopher + tree_fit + obs-overhead benches (R
 # Each bench is filtered to one cheap benchmark: the JSON artifacts are
 # written by their PrintOnce blocks, which any benchmark triggers.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build build-release -j --target bench_kernels bench_fairness_shap \
-  bench_gopher bench_tree_fit
+cmake --build build-release -j "$(nproc)" --target bench_kernels \
+  bench_fairness_shap bench_gopher bench_tree_fit
 baseline_one=build-release/bench-committed
 rm -rf "$baseline_one" && mkdir -p "$baseline_one"
 cp BENCH_tree_shap.json BENCH_fairness_shap.json BENCH_gopher.json \

@@ -1,10 +1,10 @@
 #include "src/data/csv.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -12,76 +12,121 @@
 namespace xfair {
 namespace {
 
-/// Splits one CSV record per RFC 4180: fields separated by commas, a field
-/// may be double-quoted, and a quoted field may contain commas and escaped
-/// quotes (""). A trailing CR (from CRLF line endings) is stripped before
-/// parsing. Malformed quoting — an unterminated quoted field, or a quote
-/// inside an unquoted field — is an InvalidArgument; callers append the
-/// line number.
-Result<std::vector<std::string>> SplitCsvLine(std::string line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::vector<std::string> out;
-  std::string cell;
-  bool in_quotes = false;
-  bool cell_was_quoted = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';  // Escaped quote inside a quoted field.
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell += ch;
+/// A CSV in WriteCsv layout that passed every check: `header` holds the d
+/// feature names followed by "label" and "group", `x` the features
+/// row-major (rows x d).
+struct ParsedCsv {
+  std::vector<std::string> header;
+  std::vector<double> x;
+  std::vector<int> labels, groups;
+};
+
+/// Splits one CSV record per RFC 4180 into `cells`: fields separated by
+/// commas, a field may be double-quoted and then contain commas and
+/// escaped quotes (""). Unquoted cells view `line`; quoted ones are
+/// unescaped into `unquoted`, reserved up front so no view moves. Returns
+/// the malformed-quoting message, or nullptr; `cells->size()` is then the
+/// index of the offending cell.
+const char* SplitLine(std::string_view line, std::string* unquoted,
+                      std::vector<std::string_view>* cells) {
+  cells->clear();
+  unquoted->clear();
+  unquoted->reserve(line.size());
+  for (size_t i = 0;; ++i) {  // i is at a cell's first byte.
+    if (i < line.size() && line[i] == '"') {
+      const size_t start = unquoted->size();
+      while (true) {
+        if (++i == line.size()) return "unterminated quoted field";
+        // A quote closes the field unless it is the first of a "" pair.
+        if (line[i] == '"' && (++i == line.size() || line[i] != '"')) break;
+        unquoted->push_back(line[i]);
       }
-    } else if (ch == '"') {
-      if (!cell.empty() || cell_was_quoted) {
-        return Status::InvalidArgument(
-            "unexpected '\"' inside unquoted field");
-      }
-      in_quotes = true;
-      cell_was_quoted = true;
-    } else if (ch == ',') {
-      out.push_back(std::move(cell));
-      cell.clear();
-      cell_was_quoted = false;
+      if (i < line.size() && line[i] != ',')
+        return "unexpected character after closing '\"'";
+      cells->emplace_back(unquoted->data() + start, unquoted->size() - start);
     } else {
-      if (cell_was_quoted) {
+      const size_t end = std::min(line.find(',', i), line.size());
+      if (line.substr(i, end - i).find('"') != std::string_view::npos)
+        return "unexpected '\"' inside unquoted field";
+      cells->push_back(line.substr(i, end - i));
+      i = end;
+    }
+    if (i == line.size()) return nullptr;
+  }
+}
+
+/// Parses `cell` into `*v` with strtod's decimal grammar: leading
+/// whitespace and one '+' are skipped, the rest must be a whole decimal
+/// number (no hex), and the value must be finite. Returns the error text,
+/// or "" on success.
+std::string ParseCell(std::string_view cell, double* v) {
+  std::string_view s = cell;
+  s.remove_prefix(std::min(s.find_first_not_of(" \t\n\v\f\r"), s.size()));
+  if (s.starts_with('+') && !s.starts_with("+-")) s.remove_prefix(1);
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *v);
+  if (ec != std::errc() || end != s.data() + s.size())
+    return "cannot parse '" + std::string(cell) + "' as double";
+  if (!std::isfinite(*v)) return "non-finite value '" + std::string(cell) + "'";
+  return "";
+}
+
+/// " at line N, column 'name'", or the column's 1-based number when the
+/// header does not name it.
+std::string Where(size_t lineno, const std::vector<std::string>& header,
+                  size_t c) {
+  return " at line " + std::to_string(lineno) + ", column " +
+         (c < header.size() ? "'" + header[c] + "'" : std::to_string(c + 1));
+}
+
+/// The one CSV reader behind ReadCsv and InferSchemaFromCsv: reads `path`
+/// line by line and runs every check in file order.
+Result<ParsedCsv> ParseCsv(const std::string& path) {
+  XFAIR_SPAN("data/read_csv");
+  XFAIR_LATENCY_NS("latency/read_csv_ns");
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot open for read: " + path);
+  ParsedCsv out;
+  std::string line, unquoted;
+  std::vector<std::string_view> cells;
+  for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+    std::string_view text = line;
+    if (text.ends_with('\r')) text.remove_suffix(1);
+    if (lineno > 1 && text.empty()) continue;
+    if (const char* error = SplitLine(text, &unquoted, &cells))
+      return Status::InvalidArgument(error + Where(lineno, out.header,
+                                                   cells.size()));
+    if (lineno == 1) {
+      if (cells.size() < 3 || cells[cells.size() - 2] != "label" ||
+          cells.back() != "group") {
         return Status::InvalidArgument(
-            "unexpected character after closing '\"'");
+            "header must end with 'label,group' at line 1 in " + path);
       }
-      cell += ch;
+      out.header.assign(cells.begin(), cells.end());
+      continue;
+    }
+    if (cells.size() != out.header.size()) {
+      return Status::InvalidArgument(
+          "row width mismatch at line " + std::to_string(lineno) + ": " +
+          std::to_string(cells.size()) + " cells, header has " +
+          std::to_string(out.header.size()));
+    }
+    const size_t d = cells.size() - 2;
+    for (size_t c = 0; c < cells.size(); ++c) {
+      double v = 0.0;
+      std::string error = ParseCell(cells[c], &v);
+      if (error.empty() && c >= d && v != 0.0 && v != 1.0)
+        error = "value '" + std::string(cells[c]) + "' must be 0/1";
+      if (!error.empty())
+        return Status::InvalidArgument(error + Where(lineno, out.header, c));
+      if (c < d) out.x.push_back(v);
+      else (c == d ? out.labels : out.groups).push_back(static_cast<int>(v));
     }
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted field");
-  }
-  out.push_back(std::move(cell));
+  if (out.header.empty()) return Status::InvalidArgument("empty CSV: " + path);
+  if (out.labels.empty())
+    return Status::InvalidArgument("no data rows in " + path);
   return out;
 }
-
-/// Parses the cell at (`lineno`, `column`). Rejects text that is not a
-/// finite double, naming the line and column: nan and inf parse, but no
-/// fit or metric downstream has a meaning for them.
-Result<double> ParseDouble(const std::string& s, size_t lineno,
-                           const std::string& column) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  const bool parsed = end != s.c_str() && *end == '\0' && errno != ERANGE;
-  if (parsed && std::isfinite(v)) return v;
-  return Status::InvalidArgument(
-      (parsed ? "non-finite value '" + s + "'"
-              : "cannot parse '" + s + "' as double") +
-      " at line " + std::to_string(lineno) + ", column '" + column + "'");
-}
-
-}  // namespace
-
-namespace {
 
 /// Quotes a header cell when it contains a comma, quote, or CR/LF, per
 /// RFC 4180, so WriteCsv output always round-trips through ReadCsv.
@@ -115,120 +160,43 @@ Status WriteCsv(const Dataset& data, const std::string& path) {
 }
 
 Result<Dataset> ReadCsv(const Schema& schema, const std::string& path) {
-  XFAIR_SPAN("data/read_csv");
-  XFAIR_LATENCY_NS("latency/read_csv_ns");
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open for read: " + path);
-  std::string line;
-  if (!std::getline(in, line))
-    return Status::InvalidArgument("empty CSV: " + path);
-  const size_t expected = schema.num_features() + 2;
-  Result<std::vector<std::string>> header = SplitCsvLine(line);
-  if (!header.ok()) {
-    return Status::InvalidArgument(header.status().message() +
-                                   " at line 1 in " + path);
+  Result<ParsedCsv> csv = ParseCsv(path);
+  if (!csv.ok()) return csv.status();
+  const size_t d = schema.num_features();
+  if (csv->header.size() != d + 2) {
+    return Status::InvalidArgument(
+        "header width mismatch at line 1 in " + path + ": " +
+        std::to_string(csv->header.size() - 2) + " features, schema has " +
+        std::to_string(d));
   }
-  if (header->size() != expected) {
-    return Status::InvalidArgument("header width mismatch in " + path);
-  }
-
-  std::vector<Vector> rows;
-  std::vector<int> labels, groups;
-  size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line == "\r") continue;
-    Result<std::vector<std::string>> split = SplitCsvLine(line);
-    if (!split.ok()) {
-      return Status::InvalidArgument(split.status().message() + " at line " +
-                                     std::to_string(lineno));
-    }
-    const std::vector<std::string>& cells = *split;
-    if (cells.size() != expected) {
-      return Status::InvalidArgument("row width mismatch at line " +
-                                     std::to_string(lineno));
-    }
-    Vector row(schema.num_features());
-    for (size_t c = 0; c < schema.num_features(); ++c) {
-      Result<double> v = ParseDouble(cells[c], lineno, (*header)[c]);
-      if (!v.ok()) return v.status();
-      row[c] = *v;
-    }
-    Result<double> yv =
-        ParseDouble(cells[expected - 2], lineno, (*header)[expected - 2]);
-    Result<double> gv =
-        ParseDouble(cells[expected - 1], lineno, (*header)[expected - 1]);
-    if (!yv.ok()) return yv.status();
-    if (!gv.ok()) return gv.status();
-    if ((*yv != 0.0 && *yv != 1.0) || (*gv != 0.0 && *gv != 1.0)) {
-      return Status::InvalidArgument("label/group must be 0/1 at line " +
-                                     std::to_string(lineno));
-    }
-    rows.push_back(std::move(row));
-    labels.push_back(static_cast<int>(*yv));
-    groups.push_back(static_cast<int>(*gv));
-  }
-  if (rows.empty()) return Status::InvalidArgument("no data rows in " + path);
-  return Dataset(schema, Matrix::FromRows(rows), std::move(labels),
-                 std::move(groups));
+  Matrix x(csv->labels.size(), d);
+  std::copy(csv->x.begin(), csv->x.end(), x.RowPtr(0));
+  return Dataset(schema, std::move(x), std::move(csv->labels),
+                 std::move(csv->groups));
 }
 
 Result<Schema> InferSchemaFromCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open for read: " + path);
-  std::string line;
-  if (!std::getline(in, line))
-    return Status::InvalidArgument("empty CSV: " + path);
-  Result<std::vector<std::string>> header_r = SplitCsvLine(line);
-  if (!header_r.ok()) {
-    return Status::InvalidArgument(header_r.status().message() +
-                                   " at line 1 in " + path);
-  }
-  const std::vector<std::string>& header = *header_r;
-  if (header.size() < 3 || header[header.size() - 2] != "label" ||
-      header.back() != "group") {
-    return Status::InvalidArgument(
-        "header must end with 'label,group' in " + path);
-  }
+  Result<ParsedCsv> csv = ParseCsv(path);
+  if (!csv.ok()) return csv.status();
+  const std::vector<std::string>& header = csv->header;
+  const std::vector<double>& x = csv->x;
   const size_t d = header.size() - 2;
-
-  std::vector<double> lo(d, 1e300), hi(d, -1e300);
-  std::vector<bool> binary(d, true);
-  size_t lineno = 1;
-  size_t rows = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line == "\r") continue;
-    Result<std::vector<std::string>> split = SplitCsvLine(line);
-    if (!split.ok()) {
-      return Status::InvalidArgument(split.status().message() + " at line " +
-                                     std::to_string(lineno));
-    }
-    const std::vector<std::string>& cells = *split;
-    if (cells.size() != header.size()) {
-      return Status::InvalidArgument("row width mismatch at line " +
-                                     std::to_string(lineno));
-    }
-    for (size_t c = 0; c < d; ++c) {
-      Result<double> v = ParseDouble(cells[c], lineno, header[c]);
-      if (!v.ok()) return v.status();
-      lo[c] = std::min(lo[c], *v);
-      hi[c] = std::max(hi[c], *v);
-      if (*v != 0.0 && *v != 1.0) binary[c] = false;
-    }
-    ++rows;
-  }
-  if (rows == 0) return Status::InvalidArgument("no data rows in " + path);
-
   std::vector<FeatureSpec> specs(d);
   int sensitive = -1;
   for (size_t c = 0; c < d; ++c) {
+    double lo = x[c], hi = lo;
+    bool binary = true;
+    for (size_t i = c; i < x.size(); i += d) {  // Column c, row by row.
+      lo = std::min(lo, x[i]);
+      hi = std::max(hi, x[i]);
+      binary = binary && (x[i] == 0.0 || x[i] == 1.0);
+    }
     specs[c].name = header[c];
-    specs[c].kind = binary[c] ? FeatureKind::kBinary : FeatureKind::kNumeric;
+    specs[c].kind = binary ? FeatureKind::kBinary : FeatureKind::kNumeric;
     specs[c].actionability = Actionability::kAny;
-    const double pad = binary[c] ? 0.0 : 0.1 * (hi[c] - lo[c]);
-    specs[c].lower = lo[c] - pad;
-    specs[c].upper = hi[c] + pad;
+    const double pad = binary ? 0.0 : 0.1 * (hi - lo);
+    specs[c].lower = lo - pad;
+    specs[c].upper = hi + pad;
     if (header[c] == "protected") {
       sensitive = static_cast<int>(c);
       specs[c].actionability = Actionability::kImmutable;

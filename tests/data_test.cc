@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string_view>
 
 #include "src/data/csv.h"
 #include "src/data/generators.h"
 #include "src/data/scaler.h"
+#include "src/util/rng.h"
 #include "src/util/stats.h"
 
 namespace xfair {
@@ -282,8 +287,8 @@ void WriteFile(const std::string& path, const char* contents) {
 
 }  // namespace
 
-// Cells that are not finite doubles fail in both readers, and the message
-// names the line and the column (ParseDouble accepts neither nan nor inf).
+// Cells that are not finite doubles, and labels or groups that are not
+// 0/1, fail in both calls, and the message names the line and the column.
 TEST(Csv, NonFiniteCellsFailNamingLineAndColumn) {
   const std::string path = "/tmp/xfair_csv_nonfinite.csv";
   struct Case {
@@ -296,15 +301,15 @@ TEST(Csv, NonFiniteCellsFailNamingLineAndColumn) {
       {"0,inf,1,0,1", "column 'a'", "non-finite value 'inf'"},
       {"0,1,-inf,0,1", "column 'b'", "non-finite value '-inf'"},
       {"0,1,2,nan,1", "column 'label'", "non-finite value 'nan'"},
+      {"0,1,2,2,1", "column 'label'", "value '2' must be 0/1"},
+      {"0,1,2,yes,1", "column 'label'", "cannot parse 'yes'"},
+      {"0,1,2,1,0.5", "column 'group'", "value '0.5' must be 0/1"},
       {"0,1,notanumber,0,1", "column 'b'", "cannot parse 'notanumber'"}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.row);
     WriteFile(path, ("s,a,b,label,group\n1,2,3,1,0\n" + c.row + "\n").c_str());
-    std::vector<Status> statuses = {ReadCsv(TinySchema(), path).status()};
-    // Schema inference parses the feature cells only.
-    if (c.column != "column 'label'")
-      statuses.push_back(InferSchemaFromCsv(path).status());
-    for (const Status& st : statuses) {
+    for (const Status& st : {ReadCsv(TinySchema(), path).status(),
+                             InferSchemaFromCsv(path).status()}) {
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
       EXPECT_NE(st.message().find(c.text), std::string::npos) << st.message();
       EXPECT_NE(st.message().find("at line 3, " + c.column),
@@ -312,6 +317,158 @@ TEST(Csv, NonFiniteCellsFailNamingLineAndColumn) {
           << st.message();
     }
   }
+  std::remove(path.c_str());
+}
+
+// The cell grammar: strtod's decimal text (leading whitespace, one '+',
+// ".5", "5.", signed zero, exponents, subnormals), whole cells only, finite
+// values only. Accepted cells must match the expected double bit for bit.
+TEST(Csv, CellGrammar) {
+  const std::string path = "/tmp/xfair_csv_grammar.csv";
+  struct Case {
+    std::string cell;
+    double value;       // Expected when `error` is empty.
+    const char* error;  // Expected message substring otherwise.
+  };
+  const std::vector<Case> cases = {
+      {" \t\v\f\r1.5", 1.5, ""},
+      {"+5", 5.0, ""},
+      {" +2.25", 2.25, ""},
+      {".5", 0.5, ""},
+      {"5.", 5.0, ""},
+      {"-0", -0.0, ""},
+      {"1e5", 1e5, ""},
+      {"-2.5E-3", -2.5e-3, ""},
+      {"0.1000000000000000055511151231257827", 0.1, ""},
+      {"1e-310", 1e-310, ""},
+      {"4.9406564584124654e-324", 4.9406564584124654e-324, ""},
+      {"1.7976931348623157e308", 1.7976931348623157e308, ""},
+      {"+-5", 0, "cannot parse '+-5'"},
+      {"++5", 0, "cannot parse '++5'"},
+      {"1.5 ", 0, "cannot parse '1.5 '"},
+      {"", 0, "cannot parse ''"},
+      {" ", 0, "cannot parse ' '"},
+      {"1e", 0, "cannot parse '1e'"},
+      {"1e309", 0, "cannot parse '1e309'"},
+      {"1e-400", 0, "cannot parse '1e-400'"},
+      {std::string("1.5\0junk", 8), 0, "cannot parse '1.5"},
+      {"0x1p3", 0, "cannot parse '0x1p3'"},
+      {"nan", 0, "non-finite value 'nan'"},
+      {"inf", 0, "non-finite value 'inf'"},
+      {"-inf", 0, "non-finite value '-inf'"},
+      {"Infinity", 0, "non-finite value 'Infinity'"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("cell '" + c.cell + "'");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << "s,a,b,label,group\n1," << c.cell << ",3,1,0\n";
+    }
+    const Result<Dataset> read = ReadCsv(TinySchema(), path);
+    const Status inferred = InferSchemaFromCsv(path).status();
+    EXPECT_EQ(inferred.ok(), read.ok()) << inferred.message();
+    if (*c.error == '\0') {
+      EXPECT_TRUE(read.ok()) << read.status().message();
+      if (read.ok()) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(read->x().At(0, 1)),
+                  std::bit_cast<uint64_t>(c.value));
+      }
+      continue;
+    }
+    for (const Status& st : {read.status(), inferred}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find(c.error), std::string::npos) << st.message();
+      EXPECT_NE(st.message().find("at line 2, column 'a'"), std::string::npos)
+          << st.message();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// One seeded mutant of `csv`: one to three byte flips, inserts or deletes
+/// drawn from the bytes CSV numbers and separators are made of, or
+/// duplicated or deleted lines.
+std::string MutateCsv(std::string csv, Rng* rng) {
+  static constexpr char kBytes[] = "0123456789.-+ex,\"\r\n\0 ";
+  for (uint64_t edits = 1 + rng->Below(3); edits > 0; --edits) {
+    const size_t at = rng->Below(csv.size());
+    const char byte = kBytes[rng->Below(sizeof(kBytes) - 1)];
+    const uint64_t kind = rng->Below(5);
+    if (kind == 0) csv[at] = byte;
+    if (kind == 1) csv.insert(at, 1, byte);
+    if (kind == 2) csv.erase(at, 1);
+    if (kind >= 3) {  // The line holding byte `at`, with its newline.
+      const size_t begin = at == 0 ? 0 : csv.rfind('\n', at - 1) + 1;
+      const size_t end = std::min(csv.find('\n', at), csv.size() - 1) + 1;
+      const std::string line = csv.substr(begin, end - begin);
+      if (kind == 3) csv.insert(begin, line);
+      if (kind == 4) csv.erase(begin, end - begin);
+    }
+  }
+  return csv;
+}
+
+// Seeded mutants of a 100-row CreditGen CSV with a quoted header name: each
+// call returns OK or an InvalidArgument naming a line of the file, both
+// calls accept the same files, an inferred schema always reads the file
+// back with one row per non-blank data line, and every accepted value is
+// finite.
+TEST(Csv, MutatedFilesFailCleanly) {
+  const Dataset generated = CreditGen().Generate(100, 41);
+  std::vector<FeatureSpec> features = generated.schema().features();
+  features[2].name = "income, \"net\"";
+  const Schema schema(features, generated.schema().sensitive_index());
+  const std::string path = "/tmp/xfair_csv_mutant.csv";
+  ASSERT_TRUE(WriteCsv(Dataset(schema, generated.x(), generated.labels(),
+                               generated.groups()),
+                       path)
+                  .ok());
+  std::string base;
+  {
+    std::ifstream in(path, std::ios::binary);
+    base.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_NE(base.find("\"income, \"\"net\"\"\""), std::string::npos);
+  Rng rng(2024);
+  size_t accepted = 0;
+  for (int m = 0; m < 1000; ++m) {
+    const std::string text = MutateCsv(base, &rng);
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    size_t lines = 0, data_lines = 0;
+    for (size_t b = 0; b < text.size(); ++lines) {
+      const size_t e = std::min(text.find('\n', b), text.size());
+      const std::string_view line(text.data() + b, e - b);
+      if (lines > 0 && line != "" && line != "\r") ++data_lines;
+      b = e + 1;
+    }
+    const Result<Schema> inferred = InferSchemaFromCsv(path);
+    const Result<Dataset> read = ReadCsv(inferred.ok() ? *inferred : schema,
+                                         path);
+    for (const Status& st : {inferred.status(), read.status()}) {
+      if (st.ok()) continue;
+      ASSERT_EQ(st.code(), StatusCode::kInvalidArgument) << st.message();
+      const size_t at = st.message().rfind("at line ");
+      ASSERT_NE(at, std::string::npos) << st.message();
+      const size_t line = std::stoul(st.message().substr(at + 8));
+      EXPECT_TRUE(line >= 1 && line <= lines) << st.message();
+    }
+    ASSERT_EQ(read.ok(), inferred.ok()) << read.status().message();
+    if (!read.ok()) continue;
+    ++accepted;
+    EXPECT_EQ(read->size(), data_lines);
+    for (size_t c = 0; c < inferred->num_features(); ++c) {
+      EXPECT_TRUE(std::isfinite(inferred->feature(c).lower));
+      EXPECT_TRUE(std::isfinite(inferred->feature(c).upper));
+      for (size_t r = 0; r < read->size(); ++r)
+        ASSERT_TRUE(std::isfinite(read->x().At(r, c)));
+    }
+  }
+  // Both outcomes must be common, or the loop checked little.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 900u);
   std::remove(path.c_str());
 }
 
@@ -356,14 +513,19 @@ TEST(Csv, UnterminatedQuoteFailsWithLineNumber) {
   std::remove(path.c_str());
 }
 
+// A stray quote fails in both calls, naming the line and the cell's column.
 TEST(Csv, QuoteInsideUnquotedFieldFails) {
   const std::string path = "/tmp/xfair_csv_strayquote.csv";
-  WriteFile(path, "s,a,b,label,group\n1,2\"bad\",3,1,0\n");
-  auto r = ReadCsv(TinySchema(), path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("line 2"), std::string::npos)
-      << r.status().message();
+  for (const char* row : {"1,2\"bad\",3,1,0", "1,\"2\"x,3,1,0"}) {
+    SCOPED_TRACE(row);
+    WriteFile(path, ("s,a,b,label,group\n" + std::string(row) + "\n").c_str());
+    for (const Status& st : {ReadCsv(TinySchema(), path).status(),
+                             InferSchemaFromCsv(path).status()}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find("at line 2, column 'a'"), std::string::npos)
+          << st.message();
+    }
+  }
   std::remove(path.c_str());
 }
 

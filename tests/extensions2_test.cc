@@ -57,6 +57,23 @@ TEST(InferSchema, RejectsBadHeader) {
   auto schema = InferSchemaFromCsv(path);
   EXPECT_FALSE(schema.ok());
   EXPECT_EQ(schema.status().code(), StatusCode::kInvalidArgument);
+  // ReadCsv holds the same contract, even when the width fits the schema.
+  {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs("s,a,y,g\n1,2,1,0\n", f);
+    fclose(f);
+  }
+  std::vector<FeatureSpec> two(2);
+  two[0].name = "s";
+  two[1].name = "a";
+  for (const Status& st : {InferSchemaFromCsv(path).status(),
+                           ReadCsv(Schema(two, -1), path).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("header must end with 'label,group' at line 1"),
+              std::string::npos)
+        << st.message();
+  }
   std::remove(path.c_str());
   EXPECT_FALSE(InferSchemaFromCsv("/tmp/definitely_absent.csv").ok());
 }

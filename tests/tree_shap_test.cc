@@ -203,14 +203,6 @@ TEST_F(TreeShapTest, FairnessShapTreeFastPathMatchesGenericEngine) {
 // The batch entry points promise bit-identity with the per-instance
 // walkers, not closeness: every comparison below is EXPECT_EQ (0 ulp).
 
-/// Reads one obs counter by name (0 if it never ticked).
-uint64_t CounterValue(const std::string& name) {
-  for (const auto& c : obs::SnapshotCounters()) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
 TEST_F(TreeShapTest, BatchMatchesPerInstanceBitForBitOnTree) {
   // 1300 rows so the batch spans a full 1024-instance tile plus a ragged
   // tail tile.
@@ -337,6 +329,14 @@ TEST_F(TreeShapTest, ThresholdedSweepMatchesLoopedWalksBitForBit) {
 }
 
 #ifndef XFAIR_OBS_DISABLED
+/// Reads one obs counter by name (0 if it never ticked).
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& c : obs::SnapshotCounters()) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
 TEST_F(TreeShapTest, BatchSteadyStateGrowsNoArenas) {
   SetParallelThreads(1);  // One worker arena, deterministic accounting.
   RandomForest forest;
