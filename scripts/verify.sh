@@ -4,10 +4,10 @@
 # full suite under Address+UndefinedBehaviorSanitizer (which arm
 # XFAIR_DCHECK, restoring per-element Matrix bounds checks), a scalar
 # XFAIR_SIMD=OFF build of the kernel layer, an XFAIR_OBS=0 compile
-# check (spans/counters compiled to no-ops), and a Release run of the
-# tree_shap throughput bench gated against the committed artifact. With
-# --bench, additionally regenerates all BENCH_*.json artifacts via
-# scripts/bench.sh (Release build; slower).
+# check under -Werror (spans/counters compiled to no-ops), and a Release
+# run of the tree_shap throughput bench gated against the committed
+# artifact. With --bench, additionally regenerates all BENCH_*.json
+# artifacts via scripts/bench.sh (Release build; slower).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,8 +90,12 @@ cmake --build build-nosimd -j "$(nproc)" --target xfair_tests parallel_test
 
 echo
 echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
-cmake -B build-noobs -S . -DXFAIR_OBS=OFF > /dev/null
-cmake --build build-noobs -j "$(nproc)" --target xfair_tests example_monitor_stream
+# -Werror keeps the opted-out tree warning-free: helpers whose callers
+# compile out with the macros must compile out with them. parallel_test
+# is built for that check only; it is not run here.
+cmake -B build-noobs -S . -DXFAIR_OBS=OFF -DCMAKE_CXX_FLAGS=-Werror > /dev/null
+cmake --build build-noobs -j "$(nproc)" --target xfair_tests parallel_test \
+  example_monitor_stream
 ./build-noobs/tests/xfair_tests \
   --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*'
 # The same example binary must run with zero monitoring output when the

@@ -17,13 +17,9 @@ namespace {
 /// rate over the higher one fails below 0.8. Symmetric in which group is
 /// coded 1, and undefined when there is no rate to compare against.
 std::string FourFifthsVerdict(const GroupFairnessReport& group) {
-  const Confusion& pos = group.protected_group;
-  const Confusion& neg = group.non_protected_group;
-  if (pos.total() == 0 || neg.total() == 0) {
-    return "undefined (only one group is present)";
-  }
-  const double rate_pos = pos.positive_rate();
-  const double rate_neg = neg.positive_rate();
+  if (group.single_group) return "undefined (only one group is present)";
+  const double rate_pos = group.protected_group.positive_rate();
+  const double rate_neg = group.non_protected_group.positive_rate();
   const double high = std::max(rate_pos, rate_neg);
   if (high <= 0.0) return "undefined (no group receives favorable outcomes)";
   const double ratio = std::min(rate_pos, rate_neg) / high;

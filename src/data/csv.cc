@@ -197,6 +197,12 @@ Result<Schema> InferSchemaFromCsv(const std::string& path) {
     const double pad = binary ? 0.0 : 0.1 * (hi - lo);
     specs[c].lower = lo - pad;
     specs[c].upper = hi + pad;
+    if (!std::isfinite(specs[c].lower) || !std::isfinite(specs[c].upper) ||
+        !std::isfinite(specs[c].upper - specs[c].lower)) {
+      return Status::InvalidArgument("inferred bounds of column '" +
+                                     header[c] + "' are not finite in " +
+                                     path);
+    }
     if (header[c] == "protected") {
       sensitive = static_cast<int>(c);
       specs[c].actionability = Actionability::kImmutable;

@@ -44,8 +44,10 @@ Result<Dataset> ReadCsv(const Schema& schema, const std::string& path);
 /// whose values are all 0/1 and kNumeric otherwise, bounds from the
 /// observed min/max (padded 10%), all features actionable, and the
 /// sensitive index set to a feature named "protected" if present (else
-/// -1). Intended for auditing external data where no hand-written schema
-/// exists; tighten the result by hand for recourse work.
+/// -1). A column whose padded bounds or range overflow the double range
+/// is InvalidArgument. Intended for auditing external data where no
+/// hand-written schema exists; tighten the result by hand for recourse
+/// work.
 Result<Schema> InferSchemaFromCsv(const std::string& path);
 
 }  // namespace xfair

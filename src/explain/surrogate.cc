@@ -95,10 +95,10 @@ GlobalSurrogate FitGlobalSurrogate(const Model& model, const Dataset& data,
   opts.max_depth = max_depth;
   opts.min_samples_leaf = 5;
   XFAIR_CHECK(out.tree.Fit(distilled, opts).ok());
+  const std::vector<int> mimic = out.tree.PredictAll(data);
   size_t agree = 0;
   for (size_t i = 0; i < data.size(); ++i) {
-    agree += static_cast<size_t>(out.tree.Predict(data.instance(i)) ==
-                                 pseudo[i]);
+    agree += static_cast<size_t>(mimic[i] == pseudo[i]);
   }
   out.fidelity =
       static_cast<double>(agree) / static_cast<double>(data.size());

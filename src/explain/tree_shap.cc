@@ -1217,7 +1217,7 @@ ShapNode* ThresholdInto(ShapArena* arena, const std::vector<ShapNode>& src,
   return thresholded;
 }
 
-void CountBatch(size_t instances) {
+void CountBatch([[maybe_unused]] size_t instances) {
   XFAIR_COUNTER_ADD("tree_shap/batch_calls", 1);
   XFAIR_COUNTER_ADD("tree_shap/batch_instances", instances);
 }

@@ -30,21 +30,21 @@ double KnnConsistency(const Model& model, const Dataset& data, size_t k) {
   if (data.size() <= k) return 1.0;
   KnnClassifier knn(k);
   XFAIR_CHECK(knn.Fit(data).ok());
+  const std::vector<int> decisions = model.PredictAll(data);
   double total = 0.0;
   for (size_t i = 0; i < data.size(); ++i) {
-    const Vector xi = data.instance(i);
     // k+1 neighbors: the nearest is the point itself; skip it.
-    auto nn = knn.Neighbors(xi, std::min(k + 1, data.size()));
+    auto nn = knn.Neighbors(data.instance(i), std::min(k + 1, data.size()));
     double mean_pred = 0.0;
     size_t used = 0;
     for (size_t j : nn) {
       if (j == i) continue;
-      mean_pred += static_cast<double>(model.Predict(data.instance(j)));
+      mean_pred += static_cast<double>(decisions[j]);
       ++used;
     }
     if (used == 0) continue;
     mean_pred /= static_cast<double>(used);
-    total += std::fabs(static_cast<double>(model.Predict(xi)) - mean_pred);
+    total += std::fabs(static_cast<double>(decisions[i]) - mean_pred);
   }
   return 1.0 - total / static_cast<double>(data.size());
 }

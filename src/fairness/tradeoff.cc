@@ -15,9 +15,11 @@ TradeoffScore EvaluateTradeoff(const Model& model, const Dataset& data,
               weights.explainability >= 0.0);
   XFAIR_SPAN("fairness/tradeoff");
   TradeoffScore score;
-  score.utility = Accuracy(model, data);
-  score.fairness = std::max(
-      0.0, 1.0 - std::fabs(StatisticalParityDifference(model, data)));
+  const std::array<GroupCounts, 2> counts = CountGroups(model, data);
+  const GroupFairnessReport group = DeriveGroupFairness(counts[0], counts[1]);
+  score.utility = group.accuracy;
+  score.fairness =
+      std::max(0.0, 1.0 - std::fabs(group.statistical_parity_difference));
   score.explainability = FitGlobalSurrogate(model, data).fidelity;
 
   const double total =

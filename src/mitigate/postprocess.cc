@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/fairness/group_metrics.h"
+
 namespace xfair {
 
 GroupThresholdModel::GroupThresholdModel(const Model* base,
@@ -45,38 +47,15 @@ std::vector<int> GroupThresholdModel::PredictBatch(const Matrix& x) const {
 
 namespace {
 
-/// Counters for one (group, threshold) evaluation.
-struct GroupRates {
-  double positive_rate = 0.0;
-  double tpr = 0.0;
-  double fpr = 0.0;
-  double correct = 0.0;  ///< Correct decisions (for accuracy).
-};
-
-GroupRates RatesAtThreshold(const Vector& scores,
-                            const std::vector<int>& labels,
-                            const std::vector<size_t>& members, double t) {
-  GroupRates r;
-  size_t pos = 0, tp = 0, fp = 0, label_pos = 0, correct = 0;
+/// Counts of the rows `members` decided at threshold `t`.
+GroupCounts CountsAtThreshold(const Vector& scores,
+                              const std::vector<int>& labels,
+                              const std::vector<size_t>& members, double t) {
+  GroupCounts counts;
   for (size_t i : members) {
-    const int pred = scores[i] >= t ? 1 : 0;
-    pos += static_cast<size_t>(pred);
-    label_pos += static_cast<size_t>(labels[i]);
-    tp += static_cast<size_t>(pred == 1 && labels[i] == 1);
-    fp += static_cast<size_t>(pred == 1 && labels[i] == 0);
-    correct += static_cast<size_t>(pred == labels[i]);
+    counts.Add(scores[i] >= t ? 1 : 0, scores[i], labels[i]);
   }
-  const double n = static_cast<double>(members.size());
-  const size_t label_neg = members.size() - label_pos;
-  r.positive_rate = pos / n;
-  r.tpr = label_pos ? static_cast<double>(tp) /
-                          static_cast<double>(label_pos)
-                    : 0.0;
-  r.fpr = label_neg ? static_cast<double>(fp) /
-                          static_cast<double>(label_neg)
-                    : 0.0;
-  r.correct = static_cast<double>(correct);
-  return r;
+  return counts;
 }
 
 }  // namespace
@@ -96,38 +75,41 @@ Result<GroupThresholdModel> FitGroupThresholds(
   }
   const Vector scores = base.PredictProbaAll(data);
   const std::vector<int>& labels = data.labels();
+  const auto threshold = [&options](size_t a) {
+    return static_cast<double>(a) / static_cast<double>(options.grid);
+  };
+  // Each group's counts at each grid threshold, counted once.
+  std::vector<GroupCounts> counts0, counts1;
+  for (size_t a = 1; a < options.grid; ++a) {
+    counts0.push_back(CountsAtThreshold(scores, labels, g0, threshold(a)));
+    counts1.push_back(CountsAtThreshold(scores, labels, g1, threshold(a)));
+  }
 
-  double best_gap = 1e30, best_correct = -1.0;
+  double best_gap = 1e30, best_accuracy = -1.0;
   double best_t0 = 0.5, best_t1 = 0.5;
   for (size_t a = 1; a < options.grid; ++a) {
-    const double t0 = static_cast<double>(a) /
-                      static_cast<double>(options.grid);
-    const GroupRates r0 = RatesAtThreshold(scores, labels, g0, t0);
     for (size_t b = 1; b < options.grid; ++b) {
-      const double t1 = static_cast<double>(b) /
-                        static_cast<double>(options.grid);
-      const GroupRates r1 = RatesAtThreshold(scores, labels, g1, t1);
+      const GroupFairnessReport r =
+          DeriveGroupFairness(counts0[a - 1], counts1[b - 1]);
       double gap = 0.0;
       switch (options.criterion) {
         case ThresholdCriterion::kStatisticalParity:
-          gap = std::fabs(r0.positive_rate - r1.positive_rate);
+          gap = std::fabs(r.statistical_parity_difference);
           break;
         case ThresholdCriterion::kEqualOpportunity:
-          gap = std::fabs(r0.tpr - r1.tpr);
+          gap = std::fabs(r.equal_opportunity_difference);
           break;
         case ThresholdCriterion::kEqualizedOdds:
-          gap = std::max(std::fabs(r0.tpr - r1.tpr),
-                         std::fabs(r0.fpr - r1.fpr));
+          gap = r.equalized_odds_difference;
           break;
       }
-      const double correct = r0.correct + r1.correct;
       // Prefer feasible pairs; among them maximize accuracy; otherwise
       // minimize the gap.
       const bool feasible = gap <= options.max_gap;
       const bool best_feasible = best_gap <= options.max_gap;
       bool better = false;
       if (feasible && best_feasible) {
-        better = correct > best_correct;
+        better = r.accuracy > best_accuracy;
       } else if (feasible != best_feasible) {
         better = feasible;
       } else {
@@ -135,9 +117,9 @@ Result<GroupThresholdModel> FitGroupThresholds(
       }
       if (better) {
         best_gap = gap;
-        best_correct = correct;
-        best_t0 = t0;
-        best_t1 = t1;
+        best_accuracy = r.accuracy;
+        best_t0 = threshold(a);
+        best_t1 = threshold(b);
       }
     }
   }

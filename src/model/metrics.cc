@@ -39,22 +39,26 @@ double Confusion::positive_rate() const {
   return static_cast<double>(tp + fp) / static_cast<double>(n);
 }
 
-Confusion EvaluateConfusion(const Model& model, const Dataset& data,
-                            const std::vector<size_t>& indices) {
-  Confusion c;
-  auto eval_one = [&](size_t i) {
-    const int pred = model.Predict(data.instance(i));
-    const int truth = data.label(i);
-    if (pred == 1 && truth == 1) ++c.tp;
-    if (pred == 1 && truth == 0) ++c.fp;
-    if (pred == 0 && truth == 0) ++c.tn;
-    if (pred == 0 && truth == 1) ++c.fn;
-  };
-  if (indices.empty()) {
-    for (size_t i = 0; i < data.size(); ++i) eval_one(i);
-  } else {
-    for (size_t i : indices) eval_one(i);
+CalibrationBins::CalibrationBins(size_t bins)
+    : score_sum(bins, 0.0), label_sum(bins, 0.0), count(bins, 0) {
+  XFAIR_CHECK(bins > 0);
+}
+
+double CalibrationBins::Ece() const {
+  double ece = 0.0;
+  const double n = static_cast<double>(rows);
+  for (size_t b = 0; b < count.size(); ++b) {
+    if (count[b] == 0) continue;
+    const double cb = static_cast<double>(count[b]);
+    ece += (cb / n) * std::fabs(score_sum[b] / cb - label_sum[b] / cb);
   }
+  return ece;
+}
+
+Confusion EvaluateConfusion(const Model& model, const Dataset& data) {
+  const std::vector<int> decisions = model.PredictAll(data);
+  Confusion c;
+  for (size_t i = 0; i < data.size(); ++i) c.Add(decisions[i], data.label(i));
   return c;
 }
 
@@ -63,9 +67,10 @@ double Accuracy(const Model& model, const Dataset& data) {
 }
 
 double Auc(const Model& model, const Dataset& data) {
+  const Vector scores = model.PredictProbaAll(data);
   std::vector<std::pair<double, int>> scored(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
-    scored[i] = {model.PredictProba(data.instance(i)), data.label(i)};
+    scored[i] = {scores[i], data.label(i)};
   }
   std::sort(scored.begin(), scored.end());
   // Rank-sum (Mann-Whitney) with midranks for ties.
@@ -95,32 +100,13 @@ double Auc(const Model& model, const Dataset& data) {
 }
 
 double ExpectedCalibrationError(const Model& model, const Dataset& data,
-                                size_t bins,
-                                const std::vector<size_t>& indices) {
-  XFAIR_CHECK(bins > 0);
-  std::vector<size_t> rows = indices;
-  if (rows.empty()) {
-    rows.resize(data.size());
-    for (size_t i = 0; i < data.size(); ++i) rows[i] = i;
+                                size_t bins) {
+  CalibrationBins calibration(bins);
+  const Vector scores = model.PredictProbaAll(data);
+  for (size_t i = 0; i < data.size(); ++i) {
+    calibration.Add(scores[i], data.label(i));
   }
-  std::vector<double> conf_sum(bins, 0.0), label_sum(bins, 0.0);
-  std::vector<size_t> count(bins, 0);
-  for (size_t i : rows) {
-    const double p = model.PredictProba(data.instance(i));
-    size_t b = std::min(bins - 1, static_cast<size_t>(p * static_cast<double>(
-                                                              bins)));
-    conf_sum[b] += p;
-    label_sum[b] += static_cast<double>(data.label(i));
-    ++count[b];
-  }
-  double ece = 0.0;
-  const double n = static_cast<double>(rows.size());
-  for (size_t b = 0; b < bins; ++b) {
-    if (count[b] == 0) continue;
-    const double cb = static_cast<double>(count[b]);
-    ece += (cb / n) * std::fabs(conf_sum[b] / cb - label_sum[b] / cb);
-  }
-  return ece;
+  return calibration.Ece();
 }
 
 }  // namespace xfair

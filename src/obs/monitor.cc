@@ -1,9 +1,9 @@
 #include "src/obs/monitor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
+#include "src/fairness/group_metrics.h"
 #include "src/obs/eventlog.h"
 #include "src/obs/json.h"
 
@@ -203,71 +203,31 @@ WindowedMetrics FairnessMonitor::Windowed() const {
   const size_t oldest =
       ring_size_ == options_.window ? ring_pos_ : 0;
 
-  // Per-group window counts for groups 0/1 (the offline comparison) and
-  // per-group ECE bins, accumulated in seq order so the arithmetic is
-  // bit-identical to fairness/group_metrics on the same rows.
-  uint64_t n[2] = {0, 0}, pred_pos[2] = {0, 0};
-  uint64_t tp[2] = {0, 0}, fp[2] = {0, 0}, tn[2] = {0, 0}, fn[2] = {0, 0};
-  const size_t bins = options_.calibration_bins;
-  std::vector<double> conf_sum(2 * bins, 0.0), label_sum(2 * bins, 0.0);
-  std::vector<uint64_t> bin_count(2 * bins, 0);
-  uint64_t labeled[2] = {0, 0};
-
-  for (size_t i = 0; i < ring_size_; ++i) {
-    const MonitorEvent& e = ring_[(oldest + i) % options_.window];
-    if (i == 0) wm.first_seq = e.seq;
-    wm.last_seq = e.seq;
-    if (e.label >= 0) ++wm.labeled;
-    if (e.group != 0 && e.group != 1) continue;
-    const size_t g = static_cast<size_t>(e.group);
-    ++n[g];
-    if (e.prediction == 1) ++pred_pos[g];
-    if (e.label < 0) continue;
-    ++labeled[g];
-    if (e.prediction == 1 && e.label == 1) ++tp[g];
-    if (e.prediction == 1 && e.label == 0) ++fp[g];
-    if (e.prediction == 0 && e.label == 0) ++tn[g];
-    if (e.prediction == 0 && e.label == 1) ++fn[g];
-    const size_t b = std::min(
-        bins - 1, static_cast<size_t>(e.score * static_cast<double>(bins)));
-    conf_sum[g * bins + b] += e.score;
-    label_sum[g * bins + b] += static_cast<double>(e.label);
-    ++bin_count[g * bins + b];
-  }
-
-  // Single-group sentinels, the PR 3 convention: no between-group
-  // comparison to make, so differences report 0.
-  wm.single_group = n[0] == 0 || n[1] == 0;
-  if (wm.single_group) return wm;
-
-  const auto rate = [](uint64_t num, uint64_t den) {
-    return den == 0 ? 0.0
-                    : static_cast<double>(num) / static_cast<double>(den);
-  };
-  wm.demographic_parity_diff = rate(pred_pos[0], n[0]) - rate(pred_pos[1], n[1]);
-  const double tpr0 = rate(tp[0], tp[0] + fn[0]);
-  const double tpr1 = rate(tp[1], tp[1] + fn[1]);
-  const double fpr0 = rate(fp[0], fp[0] + tn[0]);
-  const double fpr1 = rate(fp[1], fp[1] + tn[1]);
-  wm.equalized_odds_diff =
-      std::max(std::fabs(tpr0 - tpr1), std::fabs(fpr0 - fpr1));
-
-  // Per-group ECE over the labeled window rows, the offline formula:
-  // sum over bins of (bin weight) * |mean confidence - mean label|.
-  if (labeled[0] > 0 && labeled[1] > 0) {
-    double ece[2] = {0.0, 0.0};
-    for (size_t g = 0; g < 2; ++g) {
-      const double total = static_cast<double>(labeled[g]);
-      for (size_t b = 0; b < bins; ++b) {
-        const uint64_t cnt = bin_count[g * bins + b];
-        if (cnt == 0) continue;
-        const double cb = static_cast<double>(cnt);
-        ece[g] += (cb / total) * std::fabs(conf_sum[g * bins + b] / cb -
-                                           label_sum[g * bins + b] / cb);
-      }
+  // Groups 0/1 are the offline comparison. Counted in seq order, the
+  // window's counts derive their gaps through the same function as the
+  // offline fairness/group_metrics report on the same rows.
+  std::array<GroupCounts, 2> counts = {
+      GroupCounts(options_.calibration_bins),
+      GroupCounts(options_.calibration_bins)};
+  const size_t window = options_.window, size = ring_size_;
+  const MonitorEvent* ring = ring_.data();
+  size_t labeled = 0;
+  for (size_t i = 0; i < size; ++i) {
+    const MonitorEvent& e = ring[(oldest + i) % window];
+    if (e.label >= 0) ++labeled;
+    if (e.group == 0 || e.group == 1) {
+      counts[static_cast<size_t>(e.group)].Add(e.prediction, e.score,
+                                               e.label);
     }
-    wm.calibration_gap = std::fabs(ece[1] - ece[0]);
   }
+  wm.labeled = labeled;
+  wm.first_seq = ring[oldest].seq;
+  wm.last_seq = ring[(oldest + size - 1) % window].seq;
+  const GroupFairnessReport report = DeriveGroupFairness(counts[0], counts[1]);
+  wm.single_group = report.single_group;
+  wm.demographic_parity_diff = report.statistical_parity_difference;
+  wm.equalized_odds_diff = report.equalized_odds_difference;
+  wm.calibration_gap = report.calibration_gap;
   return wm;
 #endif
 }

@@ -9,10 +9,10 @@
 //     and Welford mean/variance of the score;
 //   * a ring-buffer sliding window of the last `window` events, from
 //     which the windowed group metrics (demographic-parity difference,
-//     equalized-odds difference, calibration gap) are derived on demand
-//     by a scan that replays the exact arithmetic of the offline
-//     `fairness/group_metrics` implementations — including the PR 3
-//     single-group sentinels (differences 0, calibration 0);
+//     equalized-odds difference, calibration gap) are derived on demand:
+//     a scan fills `fairness/group_metrics`' per-group counts and calls
+//     the same DeriveGroupFairness as the offline report, single-group
+//     sentinels included (differences 0, calibration 0);
 //   * Page-Hinkley and CUSUM change detectors over each windowed gap,
 //     which append DriftAlarm records when a gap drifts from its running
 //     mean.
@@ -132,8 +132,10 @@ struct GroupAggregate {
   }
 };
 
-/// Windowed group metrics, derived on demand from the ring contents with
-/// the offline group_metrics arithmetic (and sentinels).
+/// Windowed group metrics, derived on demand from the ring contents by
+/// the offline DeriveGroupFairness (fairness/group_metrics.h). Parity
+/// counts every event; the equalized-odds difference and the calibration
+/// gap count labeled events only.
 struct WindowedMetrics {
   size_t events = 0;   ///< Events currently in the window.
   size_t labeled = 0;  ///< Of those, how many carry labels.
@@ -214,8 +216,8 @@ class FairnessMonitor {
   /// processed.
   size_t Drain();
 
-  /// Windowed metrics from the current ring contents (O(window) scan
-  /// replaying the offline group_metrics arithmetic).
+  /// Windowed metrics from the current ring contents (O(window) scan into
+  /// per-group counts, derived by the offline DeriveGroupFairness).
   WindowedMetrics Windowed() const;
 
   const std::array<GroupAggregate, kMaxGroups>& aggregates() const {

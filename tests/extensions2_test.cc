@@ -78,6 +78,28 @@ TEST(InferSchema, RejectsBadHeader) {
   EXPECT_FALSE(InferSchemaFromCsv("/tmp/definitely_absent.csv").ok());
 }
 
+TEST(InferSchema, RejectsBoundsThatOverflow) {
+  // Finite cells whose padded bounds are not: the first column's range
+  // overflows (lower -inf, upper +inf), the second's upper bound does.
+  const std::string path = "/tmp/xfair_infer_overflow.csv";
+  for (const char* body : {"x,label,group\n-1e308,0,1\n1e308,1,0\n",
+                           "x,label,group\n0,0,1\n1.7e308,1,0\n"}) {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs(body, f);
+    fclose(f);
+    const Result<Schema> schema = InferSchemaFromCsv(path);
+    ASSERT_FALSE(schema.ok()) << body;
+    EXPECT_EQ(schema.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(schema.status().message().find("column 'x'"),
+              std::string::npos)
+        << schema.status().message();
+    EXPECT_NE(schema.status().message().find(path), std::string::npos)
+        << schema.status().message();
+  }
+  std::remove(path.c_str());
+}
+
 // --- gradient boosting ---
 
 TEST(Gbm, BeatsLogisticOnNonlinearData) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -51,22 +52,24 @@ TEST(GroupMetrics, StatisticalParityExactValue) {
   Dataset d = ControlledData(10, 2, 10, 6);
   LookupModel m;
   EXPECT_NEAR(StatisticalParityDifference(m, d), 0.4, 1e-12);
-  EXPECT_NEAR(DisparateImpactRatio(m, d), 2.0 / 6.0, 1e-12);
+  EXPECT_NEAR(EvaluateGroupFairness(m, d).disparate_impact_ratio, 2.0 / 6.0,
+              1e-12);
 }
 
 TEST(GroupMetrics, ParityZeroWhenEqual) {
   Dataset d = ControlledData(10, 5, 10, 5);
   LookupModel m;
   EXPECT_NEAR(StatisticalParityDifference(m, d), 0.0, 1e-12);
-  EXPECT_NEAR(DisparateImpactRatio(m, d), 1.0, 1e-12);
+  EXPECT_NEAR(EvaluateGroupFairness(m, d).disparate_impact_ratio, 1.0, 1e-12);
 }
 
 TEST(GroupMetrics, EqualOpportunityUsesTruePositivesOnly) {
   // All labels are 1, so TPR == positive rate here.
   Dataset d = ControlledData(8, 2, 8, 6);
   LookupModel m;
-  EXPECT_NEAR(EqualOpportunityDifference(m, d), 0.5, 1e-12);
-  EXPECT_NEAR(EqualizedOddsDifference(m, d), 0.5, 1e-12);
+  const GroupFairnessReport r = EvaluateGroupFairness(m, d);
+  EXPECT_NEAR(r.equal_opportunity_difference, 0.5, 1e-12);
+  EXPECT_NEAR(r.equalized_odds_difference, 0.5, 1e-12);
 }
 
 TEST(GroupMetrics, ReportIsConsistentWithIndividualMetrics) {
@@ -75,17 +78,33 @@ TEST(GroupMetrics, ReportIsConsistentWithIndividualMetrics) {
   LogisticRegression lr;
   ASSERT_TRUE(lr.Fit(d).ok());
   GroupFairnessReport r = EvaluateGroupFairness(lr, d);
-  EXPECT_NEAR(r.statistical_parity_difference,
-              StatisticalParityDifference(lr, d), 1e-12);
-  EXPECT_NEAR(r.equal_opportunity_difference,
-              EqualOpportunityDifference(lr, d), 1e-12);
-  EXPECT_NEAR(r.equalized_odds_difference, EqualizedOddsDifference(lr, d),
-              1e-12);
-  EXPECT_NEAR(r.predictive_parity_difference,
-              PredictiveParityDifference(lr, d), 1e-12);
-  EXPECT_NEAR(r.calibration_gap, CalibrationGap(lr, d), 1e-12);
-  EXPECT_NEAR(r.accuracy, Accuracy(lr, d), 1e-12);
+  EXPECT_EQ(r.statistical_parity_difference,
+            StatisticalParityDifference(lr, d));
+  EXPECT_EQ(r.accuracy, Accuracy(lr, d));
+  EXPECT_FALSE(r.single_group);
   EXPECT_EQ(r.protected_group.total(), d.GroupIndices(1).size());
+  // Each group's confusion and calibration error are the unconditioned
+  // metrics of that group's rows alone.
+  const Dataset g1 = d.Subset(d.GroupIndices(1));
+  const Dataset g0 = d.Subset(d.GroupIndices(0));
+  const Confusion c1 = EvaluateConfusion(lr, g1);
+  const Confusion c0 = EvaluateConfusion(lr, g0);
+  EXPECT_EQ(r.protected_group.tp, c1.tp);
+  EXPECT_EQ(r.protected_group.fp, c1.fp);
+  EXPECT_EQ(r.protected_group.tn, c1.tn);
+  EXPECT_EQ(r.protected_group.fn, c1.fn);
+  EXPECT_EQ(r.non_protected_group.tp, c0.tp);
+  EXPECT_EQ(r.non_protected_group.fp, c0.fp);
+  EXPECT_EQ(r.non_protected_group.tn, c0.tn);
+  EXPECT_EQ(r.non_protected_group.fn, c0.fn);
+  EXPECT_EQ(r.equal_opportunity_difference, c0.tpr() - c1.tpr());
+  EXPECT_EQ(r.equalized_odds_difference,
+            std::max(std::fabs(c0.tpr() - c1.tpr()),
+                     std::fabs(c0.fpr() - c1.fpr())));
+  EXPECT_EQ(r.predictive_parity_difference, c0.precision() - c1.precision());
+  EXPECT_EQ(r.calibration_gap,
+            std::fabs(ExpectedCalibrationError(lr, g1) -
+                      ExpectedCalibrationError(lr, g0)));
   EXPECT_FALSE(r.ToString().empty());
 }
 
@@ -98,7 +117,8 @@ TEST(GroupMetrics, BiasedGeneratorYieldsPositiveParityGap) {
   ASSERT_TRUE(lr.Fit(d).ok());
   // The model trained on planted-bias data disadvantages G+.
   EXPECT_GT(StatisticalParityDifference(lr, d), 0.15);
-  EXPECT_LT(DisparateImpactRatio(lr, d), 0.8);  // Fails the 80% rule.
+  // Fails the 80% rule.
+  EXPECT_LT(EvaluateGroupFairness(lr, d).disparate_impact_ratio, 0.8);
 }
 
 TEST(IndividualMetrics, LipschitzZeroForConstantModel) {
@@ -226,16 +246,15 @@ TEST(GroupMetrics, SingleGroupDatasetUsesFairSentinels) {
   Dataset d = ControlledData(0, 0, 10, 6);
   LookupModel m;
   EXPECT_DOUBLE_EQ(StatisticalParityDifference(m, d), 0.0);
-  EXPECT_DOUBLE_EQ(DisparateImpactRatio(m, d), 1.0);
-  EXPECT_DOUBLE_EQ(EqualOpportunityDifference(m, d), 0.0);
-  EXPECT_DOUBLE_EQ(EqualizedOddsDifference(m, d), 0.0);
-  EXPECT_DOUBLE_EQ(PredictiveParityDifference(m, d), 0.0);
-  EXPECT_DOUBLE_EQ(CalibrationGap(m, d), 0.0);
 
   const GroupFairnessReport report = EvaluateGroupFairness(m, d);
+  EXPECT_TRUE(report.single_group);
   EXPECT_DOUBLE_EQ(report.statistical_parity_difference, 0.0);
   EXPECT_DOUBLE_EQ(report.disparate_impact_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(report.equal_opportunity_difference, 0.0);
   EXPECT_DOUBLE_EQ(report.equalized_odds_difference, 0.0);
+  EXPECT_DOUBLE_EQ(report.predictive_parity_difference, 0.0);
+  EXPECT_DOUBLE_EQ(report.calibration_gap, 0.0);
   EXPECT_NEAR(report.accuracy, 0.6, 1e-12);
 }
 

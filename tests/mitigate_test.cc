@@ -158,12 +158,16 @@ TEST_P(ThresholdCriterionTest, ClosesItsGap) {
       after = std::fabs(StatisticalParityDifference(*wrapped, s.test));
       break;
     case ThresholdCriterion::kEqualOpportunity:
-      before = std::fabs(EqualOpportunityDifference(s.baseline, s.test));
-      after = std::fabs(EqualOpportunityDifference(*wrapped, s.test));
+      before = std::fabs(EvaluateGroupFairness(s.baseline, s.test)
+                             .equal_opportunity_difference);
+      after = std::fabs(EvaluateGroupFairness(*wrapped, s.test)
+                            .equal_opportunity_difference);
       break;
     case ThresholdCriterion::kEqualizedOdds:
-      before = EqualizedOddsDifference(s.baseline, s.test);
-      after = EqualizedOddsDifference(*wrapped, s.test);
+      before = EvaluateGroupFairness(s.baseline, s.test)
+                   .equalized_odds_difference;
+      after =
+          EvaluateGroupFairness(*wrapped, s.test).equalized_odds_difference;
       break;
   }
   EXPECT_LT(after, before);

@@ -299,7 +299,7 @@ TEST(Metrics, ConfusionOnSubsetOnly) {
   LogisticRegression lr;
   ASSERT_TRUE(lr.Fit(d).ok());
   auto g1 = d.GroupIndices(1);
-  Confusion c = EvaluateConfusion(lr, d, g1);
+  Confusion c = EvaluateConfusion(lr, d.Subset(g1));
   EXPECT_EQ(c.total(), g1.size());
 }
 

@@ -1,5 +1,5 @@
-// Tests for src/obs/monitor + exposition: windowed metrics must replay
-// the offline fairness/group_metrics arithmetic exactly, drift alarms
+// Tests for src/obs/monitor + exposition: windowed metrics must equal
+// the offline fairness/group_metrics report bit for bit, drift alarms
 // must recover a planted change point within one window, sentinel
 // conventions (unlabeled streams, single-group windows, out-of-range
 // groups) must match PR 3, and every rendering (snapshot JSON,
@@ -73,8 +73,9 @@ TEST(Monitor, WindowedMetricsMatchOfflineGroupMetrics) {
   obs::SetMonitoringEnabled(false);
 
   // The window now holds the last 256 rows in stream order; the offline
-  // metrics on exactly those rows must agree to 1e-12 (the window scan
-  // replays the offline accumulation order, not an incremental update).
+  // report on exactly those rows must agree bit for bit (the window scan
+  // fills the same per-group counts in the same order and derives them
+  // with the same DeriveGroupFairness).
   std::vector<size_t> tail(window);
   for (size_t i = 0; i < window; ++i) {
     tail[i] = data.size() - window + i;
@@ -91,14 +92,14 @@ TEST(Monitor, WindowedMetricsMatchOfflineGroupMetrics) {
   EXPECT_EQ(wm.first_seq, data.size() - window);
   EXPECT_EQ(wm.last_seq, data.size() - 1);
   EXPECT_FALSE(wm.single_group);
-  const double dp = StatisticalParityDifference(model, sub);
-  const double eo = EqualizedOddsDifference(model, sub);
-  const double cal = CalibrationGap(model, sub, 10);
-  EXPECT_NEAR(wm.demographic_parity_diff, dp, 1e-12);
-  EXPECT_NEAR(wm.equalized_odds_diff, eo, 1e-12);
-  EXPECT_NEAR(wm.calibration_gap, cal, 1e-12);
+  const GroupFairnessReport offline = EvaluateGroupFairness(model, sub);
+  EXPECT_EQ(wm.demographic_parity_diff,
+            offline.statistical_parity_difference);
+  EXPECT_EQ(wm.equalized_odds_diff, offline.equalized_odds_difference);
+  EXPECT_EQ(wm.calibration_gap, offline.calibration_gap);
   // The planted bias makes the comparison non-vacuous.
-  EXPECT_GT(std::fabs(dp), 1e-3);
+  EXPECT_GT(std::fabs(offline.statistical_parity_difference), 1e-3);
+  EXPECT_GT(offline.calibration_gap, 0.0);
 
   // Cumulative aggregates cover the full stream.
   const auto& aggs = monitor.aggregates();
@@ -206,6 +207,43 @@ TEST(Monitor, UnlabeledStreamReportsParityButLabelSentinels) {
   EXPECT_EQ(monitor.aggregates()[0].labeled, 0u);
   EXPECT_EQ(monitor.aggregates()[0].tpr(), 0.0);
   EXPECT_EQ(monitor.aggregates()[0].fpr(), 0.0);
+#endif
+}
+
+TEST(Monitor, MixedLabeledWindowCountsParityOverEveryEvent) {
+  MonitorGuard guard;
+  MonitorOptions mopts;
+  mopts.window = 12;
+  FairnessMonitor monitor("monitor_test/mixed_labels", mopts);
+  // Both groups mix labeled and unlabeled (label -1) events. Parity
+  // counts every event; the equalized-odds difference and the calibration
+  // gap count labeled events only.
+  //   G- labeled:   (0.9, 1, y 1) tp, (0.7, 1, y 0) fp, (0.2, 0, y 0) tn
+  //   G- unlabeled: (0.8, 1), (0.6, 1), (0.4, 0)
+  //   G+ labeled:   (0.6, 1, y 1) tp, (0.3, 0, y 1) fn, (0.1, 0, y 0) tn
+  //   G+ unlabeled: (0.2, 0), (0.1, 0), (0.15, 0)
+  const MonitorEvent events[] = {
+      {0, 0.9, 1, 1, 0},   {1, 0.6, 1, 1, 1},   {2, 0.8, 1, -1, 0},
+      {3, 0.2, 0, -1, 1},  {4, 0.7, 1, 0, 0},   {5, 0.3, 0, 1, 1},
+      {6, 0.6, 1, -1, 0},  {7, 0.1, 0, -1, 1},  {8, 0.2, 0, 0, 0},
+      {9, 0.1, 0, 0, 1},   {10, 0.4, 0, -1, 0}, {11, 0.15, 0, -1, 1}};
+  for (const MonitorEvent& e : events) monitor.Ingest(e);
+  monitor.Drain();
+  const WindowedMetrics wm = monitor.Windowed();
+#ifdef XFAIR_OBS_DISABLED
+  EXPECT_EQ(wm.events, 0u);
+#else
+  EXPECT_EQ(wm.events, 12u);
+  EXPECT_EQ(wm.labeled, 6u);
+  EXPECT_FALSE(wm.single_group);
+  // Every event: 4/6 - 1/6. The labeled events alone would give 2/3 - 1/3.
+  EXPECT_NEAR(wm.demographic_parity_diff, 0.5, 1e-12);
+  // Labeled only: TPR 1 vs 1/2, FPR 1/2 vs 0. Counting the unlabeled
+  // events as negatives would raise G-'s FPR to 3/5.
+  EXPECT_NEAR(wm.equalized_odds_diff, 0.5, 1e-12);
+  // Labeled only, one event per bin: ECE(G-) = (0.1 + 0.7 + 0.2) / 3 and
+  // ECE(G+) = (0.4 + 0.7 + 0.1) / 3, so the gap is 0.2 / 3.
+  EXPECT_NEAR(wm.calibration_gap, 0.2 / 3.0, 1e-12);
 #endif
 }
 

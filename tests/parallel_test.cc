@@ -1069,13 +1069,13 @@ TEST(ParallelObs, LogsFreeTheShardsOfExitedThreads) {
   }
   obs::SetTracingEnabled(false);
   obs::SetRecorderEnabled(false);
+#ifndef XFAIR_OBS_DISABLED
   const auto count_bodies = [](const std::vector<obs::SpanRecord>& spans) {
     return static_cast<size_t>(
         std::count_if(spans.begin(), spans.end(), [](const auto& s) {
           return s.name == std::string("parallel_test/resize_body");
         }));
   };
-#ifndef XFAIR_OBS_DISABLED
   // Retired workers' trailing spans are still in the flight log.
   EXPECT_EQ(obs::FlightSpansDropped(), 0u);
   EXPECT_EQ(count_bodies(obs::SnapshotFlightSpans()), 20 * bodies);

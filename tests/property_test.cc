@@ -131,24 +131,25 @@ TEST_P(MetricInvariantTest, RangesAndSymmetry) {
   Dataset data = MakeData(GetParam(), 800, 303);
   LogisticRegression model;
   ASSERT_TRUE(model.Fit(data).ok());
-  const double parity = StatisticalParityDifference(model, data);
+  const GroupFairnessReport r = EvaluateGroupFairness(model, data);
+  const double parity = r.statistical_parity_difference;
   EXPECT_GE(parity, -1.0);
   EXPECT_LE(parity, 1.0);
-  EXPECT_GE(DisparateImpactRatio(model, data), 0.0);
-  EXPECT_GE(EqualizedOddsDifference(model, data), 0.0);
-  EXPECT_LE(EqualizedOddsDifference(model, data), 1.0);
+  EXPECT_GE(r.disparate_impact_ratio, 0.0);
+  EXPECT_GE(r.equalized_odds_difference, 0.0);
+  EXPECT_LE(r.equalized_odds_difference, 1.0);
 
   // Swapping group labels negates the signed differences.
   std::vector<int> flipped(data.size());
   for (size_t i = 0; i < data.size(); ++i) flipped[i] = 1 - data.group(i);
   Dataset swapped(data.schema(), data.x(), data.labels(), flipped);
-  EXPECT_NEAR(StatisticalParityDifference(model, swapped), -parity,
-              1e-12);
-  EXPECT_NEAR(EqualOpportunityDifference(model, swapped),
-              -EqualOpportunityDifference(model, data), 1e-12);
+  const GroupFairnessReport rs = EvaluateGroupFairness(model, swapped);
+  EXPECT_NEAR(rs.statistical_parity_difference, -parity, 1e-12);
+  EXPECT_NEAR(rs.equal_opportunity_difference,
+              -r.equal_opportunity_difference, 1e-12);
   // Equalized odds is symmetric in the groups.
-  EXPECT_NEAR(EqualizedOddsDifference(model, swapped),
-              EqualizedOddsDifference(model, data), 1e-12);
+  EXPECT_NEAR(rs.equalized_odds_difference, r.equalized_odds_difference,
+              1e-12);
 }
 
 TEST_P(MetricInvariantTest, ReweighingIndependenceHolds) {

@@ -51,12 +51,15 @@ struct ObsGuard {
   }
 };
 
+#ifndef XFAIR_OBS_DISABLED
+// Every caller reads a bundle file, which only an observing build writes.
 std::string ReadFile(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
 }
+#endif
 
 TEST(Recorder, RingRetainsTrailingSpansInAppendOrder) {
   ObsGuard guard;
