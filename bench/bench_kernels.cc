@@ -1,11 +1,13 @@
 // Kernel-layer benches: the algorithmic fast paths against their
 // exponential / pointer-chasing / brute-force reference implementations.
 //
-//  a. BENCH_tree_shap.json — path-dependent TreeSHAP vs coalition
-//     enumeration (ExactShapley over the identical EXPVALUE game) on a
+//  a. BENCH_tree_shap.json — interventional TreeSHAP vs coalition
+//     enumeration (ExactShapley over the identical masking game) on a
 //     d=13 tree. 2^13 coalitions per instance collapse to one
-//     O(leaves * depth^2) pass, so the algorithmic speedup is orders of
-//     magnitude even on one core.
+//     O(background * leaves * depth) pass, so the algorithmic speedup is
+//     orders of magnitude even on one core. Its throughput fields time
+//     the route the system serves, ShapExplainBatch on a credit audit
+//     forest, against looped ShapExplainInstance.
 //  b. BENCH_flat_tree.json — branchless structure-of-arrays forest
 //     inference (FlatForest, what PredictProbaBatch ships) vs the
 //     classic per-row pointer walk over the node arrays.
@@ -23,8 +25,9 @@
 //     difference is the bounds check + lost vectorization.
 //
 // The first three comparisons are exact drop-ins (golden tests in
-// tests/tree_shap_test.cc pin bit-level agreement), so wall time is the
-// only difference being measured.
+// tests/tree_shap_test.cc pin agreement: 1e-9 against coalition
+// enumeration, bit-level for the batch and index paths), so wall time is
+// the only difference being measured.
 
 #include <benchmark/benchmark.h>
 
@@ -43,11 +46,21 @@
 #include "src/unfair/slice_search.h"
 #include "src/util/kernels.h"
 #include "src/util/table.h"
+#include "tests/oracles/tree_shap_oracle.h"
 
 namespace xfair {
 namespace {
 
 constexpr size_t kWideDim = 13;
+
+/// The background rows of the Table I [serve] row (src/core/registry.cc),
+/// which explains its audit slice through ShapExplainBatch.
+const std::vector<size_t> kServeBackground = {0, 7, 14, 21, 28};
+
+/// Audit-slice rows the serving throughput explains per call: enough that
+/// the batch wall time clears bench_compare.py's noise floor several
+/// times over.
+constexpr size_t kServeRows = 1024;
 
 /// Synthetic dataset of `dim` numeric features with a nonlinear label
 /// rule, so fitted trees split on many distinct features per path. The
@@ -103,7 +116,8 @@ void PrintOnce() {
   if (printed) return;
   printed = true;
 
-  // a. TreeSHAP vs coalition enumeration of the same EXPVALUE game.
+  // a. Interventional TreeSHAP vs coalition enumeration of the same
+  // masking game.
   {
     Dataset data = WideDataset(1200, 301);
     DecisionTree tree;
@@ -111,6 +125,7 @@ void PrintOnce() {
     opts.max_depth = 8;
     opts.min_samples_leaf = 4;
     XFAIR_CHECK(tree.Fit(data, opts).ok());
+    const Matrix background = data.Subset(kServeBackground).x();
     const std::vector<size_t> instances = {5, 117, 403, 766, 1024};
 
     // Agreement table first: the two algorithms solve the same game.
@@ -118,9 +133,10 @@ void PrintOnce() {
                   "sum(phi) + base - f(x)"});
     for (size_t i : instances) {
       const Vector x = data.instance(i);
-      const Vector exact =
-          ExactShapley(PathDependentGame(tree, x), kWideDim);
-      const TreeShapExplanation fast = PathDependentTreeShap(tree, x);
+      const Vector exact = ExactShapley(
+          oracles::MaskingGame(tree, background, x), kWideDim);
+      const TreeShapExplanation fast =
+          InterventionalTreeShap(tree, background, x);
       double err = 0.0, total = fast.base_value;
       for (size_t c = 0; c < kWideDim; ++c) {
         err = std::max(err, std::fabs(exact[c] - fast.phi[c]));
@@ -129,17 +145,18 @@ void PrintOnce() {
       t.AddRow({std::to_string(i), FormatDouble(err, 12),
                 FormatDouble(total - tree.PredictProba(x), 12)});
     }
-    std::printf("\n=== Kernels a: path-dependent TreeSHAP vs 2^13 "
+    std::printf("\n=== Kernels a: interventional TreeSHAP vs 2^13 "
                 "coalition enumeration ===\nExpected shape: agreement at "
                 "float roundoff and exact efficiency — identical values, "
                 "polynomial cost.\n%s\n",
                 t.ToString().c_str());
 
-    // Batched serving throughput on the credit audit workload: one SHAP
-    // vector per row of an 8192-row slice through a fitted audit forest.
-    // The batch engine and the per-instance loop produce bit-identical
-    // phi (pinned by tests/tree_shap_test.cc), so explanations/sec is
-    // the only axis being measured.
+    // Serving throughput on the credit audit workload: one SHAP vector
+    // per row of a 1024-row slice through a fitted audit forest, via the
+    // batch route the Table I [serve] row runs, against looping the
+    // per-instance route. Both produce bit-identical phi (pinned by
+    // tests/tree_shap_test.cc), so explanations/sec is the only axis
+    // being measured.
     obs::Json throughput;
     {
       Dataset credit = CreditGen().Generate(8192, 311);
@@ -148,17 +165,25 @@ void PrintOnce() {
       audit_opts.num_trees = 12;
       audit_opts.max_depth = 5;
       XFAIR_CHECK(audit_forest.Fit(credit, audit_opts).ok());
-      const Matrix& xs = credit.x();
-      Matrix phi;
-      Vector base;
-      TreeShapBatchInto(audit_forest, xs, &phi, &base);  // Warm cache/arenas.
+      const Dataset audit_background = credit.Subset(kServeBackground);
+      Matrix xs(kServeRows, credit.num_features());
+      for (size_t i = 0; i < xs.rows(); ++i) {
+        xs.SetRow(i, credit.instance(i));
+      }
+      Rng rng(312);
+      // Warm the node cache and the arenas.
+      benchmark::DoNotOptimize(
+          ShapExplainBatch(audit_forest, audit_background, xs, 64, &rng));
       throughput = MeasureThroughputExtra(
           "explanations", xs.rows(),
-          [&] { TreeShapBatchInto(audit_forest, xs, &phi, &base); },
+          [&] {
+            benchmark::DoNotOptimize(ShapExplainBatch(
+                audit_forest, audit_background, xs, 64, &rng));
+          },
           [&] {
             for (size_t i = 0; i < xs.rows(); ++i) {
-              benchmark::DoNotOptimize(
-                  PathDependentTreeShap(audit_forest, credit.instance(i)));
+              benchmark::DoNotOptimize(ShapExplainInstance(
+                  audit_forest, audit_background, xs.Row(i), 64, &rng));
             }
           });
     }
@@ -168,13 +193,14 @@ void PrintOnce() {
         [&] {
           for (size_t i : instances) {
             benchmark::DoNotOptimize(ExactShapley(
-                PathDependentGame(tree, data.instance(i)), kWideDim));
+                oracles::MaskingGame(tree, background, data.instance(i)),
+                kWideDim));
           }
         },
         [&] {
           for (size_t i : instances) {
             benchmark::DoNotOptimize(
-                PathDependentTreeShap(tree, data.instance(i)));
+                InterventionalTreeShap(tree, background, data.instance(i)));
           }
         },
         /*repeats=*/3, std::move(throughput));
@@ -232,10 +258,10 @@ void PrintOnce() {
   }
 
   // d. Observability overhead: the same span/counter-dense workload
-  // (per-instance TreeSHAP spans + per-query KD-tree counters) with
-  // tracing force-enabled vs the shipped tracing-off default. The
-  // "algo_speedup" field reads as "overhead removed by the runtime
-  // toggle"; 1.0x means free.
+  // (per-instance interventional TreeSHAP spans + per-query KD-tree
+  // counters) with tracing force-enabled vs the shipped tracing-off
+  // default. The "algo_speedup" field reads as "overhead removed by the
+  // runtime toggle"; 1.0x means free.
   {
     Dataset data = WideDataset(1200, 305);
     DecisionTree tree;
@@ -243,6 +269,7 @@ void PrintOnce() {
     opts.max_depth = 8;
     opts.min_samples_leaf = 4;
     XFAIR_CHECK(tree.Fit(data, opts).ok());
+    const Matrix background = data.Subset(kServeBackground).x();
     Dataset train = WideDataset(4000, 306, 6);
     Dataset queries = WideDataset(200, 307, 6);
     KnnClassifier knn(5);
@@ -250,7 +277,7 @@ void PrintOnce() {
     auto workload = [&] {
       for (size_t i = 0; i < 200; ++i) {
         benchmark::DoNotOptimize(
-            PathDependentTreeShap(tree, data.instance(i)));
+            InterventionalTreeShap(tree, background, data.instance(i)));
       }
       size_t acc = 0;
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -455,7 +482,7 @@ void PrintOnce() {
   }
 }
 
-void BM_PathDependentTreeShap(benchmark::State& state) {
+void BM_InterventionalTreeShapOnTree(benchmark::State& state) {
   PrintOnce();
   Dataset data = WideDataset(1200, 301);
   DecisionTree tree;
@@ -463,12 +490,13 @@ void BM_PathDependentTreeShap(benchmark::State& state) {
   opts.max_depth = 8;
   opts.min_samples_leaf = 4;
   XFAIR_CHECK(tree.Fit(data, opts).ok());
+  const Matrix background = data.Subset(kServeBackground).x();
   const Vector x = data.instance(117);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PathDependentTreeShap(tree, x));
+    benchmark::DoNotOptimize(InterventionalTreeShap(tree, background, x));
   }
 }
-BENCHMARK(BM_PathDependentTreeShap)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_InterventionalTreeShapOnTree)->Unit(benchmark::kMicrosecond);
 
 void BM_ExactShapleyTreeGame(benchmark::State& state) {
   PrintOnce();
@@ -478,10 +506,11 @@ void BM_ExactShapleyTreeGame(benchmark::State& state) {
   opts.max_depth = 8;
   opts.min_samples_leaf = 4;
   XFAIR_CHECK(tree.Fit(data, opts).ok());
+  const Matrix background = data.Subset(kServeBackground).x();
   const Vector x = data.instance(117);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ExactShapley(PathDependentGame(tree, x), kWideDim));
+    benchmark::DoNotOptimize(ExactShapley(
+        oracles::MaskingGame(tree, background, x), kWideDim));
   }
 }
 BENCHMARK(BM_ExactShapleyTreeGame)->Unit(benchmark::kMillisecond);

@@ -24,8 +24,10 @@ the scheduler owns more of the measurement than the algorithm does. For
 throughput fields the noise floor is the baseline's batch_ms (the wall
 time the rate was derived from; optimized_ms when the artifact has no
 batch_ms), and algo_speedup's floor is the baseline's optimized_ms —
-the fast side of that ratio, which is where its noise lives. Benches
-present on only one side are reported but do not fail the gate.
+the fast side of that ratio, which is where its noise lives. Those rows
+print as "not gated (baseline X ms < floor)" instead of "ok", and each
+artifact's block ends with its number of gated fields. Benches present
+on only one side are reported but do not fail the gate.
 """
 
 import argparse
@@ -74,13 +76,17 @@ def main():
             continue
         base = load(base_files[name])
         cur = load(cur_files[name])
+        # (field, baseline, current, delta %, regressed, noise ms): noise
+        # ms is the baseline wall time under --min-ms that leaves the
+        # field ungated, None when the field is gated.
         rows = []
 
         b_ms, c_ms = base.get("optimized_ms"), cur.get("optimized_ms")
         if b_ms is not None and c_ms is not None and b_ms > 0:
             delta = 100.0 * (c_ms / b_ms - 1.0)
-            bad = c_ms > b_ms * (1.0 + frac) and b_ms >= args.min_ms
-            rows.append(("optimized_ms", b_ms, c_ms, delta, bad))
+            noise = b_ms if b_ms < args.min_ms else None
+            bad = c_ms > b_ms * (1.0 + frac) and noise is None
+            rows.append(("optimized_ms", b_ms, c_ms, delta, bad, noise))
 
         # Higher-is-better fields: the algorithmic-speedup ratio, the
         # batch-vs-looped ratio, and any throughput rate. Throughput
@@ -90,11 +96,9 @@ def main():
         batch_ms = base.get("batch_ms")
         if batch_ms is None:
             batch_ms = base.get("optimized_ms")
-        gated = batch_ms is None or batch_ms >= args.min_ms
         # algo_speedup's noise scale is the optimized wall time the
         # ratio was derived from (the baseline side is orders of
         # magnitude slower, so its noise is negligible in the ratio).
-        algo_gated = b_ms is None or b_ms >= args.min_ms
         higher_is_better = ["algo_speedup", "batch_speedup"] + sorted(
             k for k in base if isinstance(k, str) and k.endswith("_per_sec"))
         for field in higher_is_better:
@@ -102,12 +106,19 @@ def main():
             if b_sp is None or c_sp is None or b_sp <= 0:
                 continue
             delta = 100.0 * (c_sp / b_sp - 1.0)
-            noisy = not (algo_gated if field == "algo_speedup" else gated)
-            bad = c_sp < b_sp * (1.0 - frac) and not noisy
-            rows.append((field, b_sp, c_sp, delta, bad))
+            scale = b_ms if field == "algo_speedup" else batch_ms
+            noisy = scale is not None and scale < args.min_ms
+            noise = scale if noisy else None
+            bad = c_sp < b_sp * (1.0 - frac) and noise is None
+            rows.append((field, b_sp, c_sp, delta, bad, noise))
 
-        for field, b, c, delta, bad in rows:
-            mark = "REGRESSION" if bad else "ok"
+        gated = 0
+        for field, b, c, delta, bad, noise in rows:
+            if noise is not None:
+                mark = f"not gated (baseline {noise:.3f} ms < floor)"
+            else:
+                gated += 1
+                mark = "REGRESSION" if bad else "ok"
             print(f"  {name} {field}: {b:.3f} -> {c:.3f} "
                   f"({delta:+.1f}%) {mark}")
             if bad:
@@ -123,11 +134,14 @@ def main():
             if not isinstance(val, (int, float)):
                 continue
             bad = val > args.max_overhead_pct
+            gated += 1
             mark = "OVER BUDGET" if bad else "ok"
             print(f"  {name} {field}: {val:+.1f}% "
                   f"(budget {args.max_overhead_pct:.1f}%) {mark}")
             if bad:
                 regressions.append((name, field, val))
+        print(f"  {name}: {gated} gated field(s) "
+              f"(floor {args.min_ms:g} ms)")
 
     if regressions:
         print(f"bench_compare: {len(regressions)} regression(s) beyond "

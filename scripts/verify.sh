@@ -5,9 +5,11 @@
 # XFAIR_DCHECK, restoring per-element Matrix bounds checks), a scalar
 # XFAIR_SIMD=OFF build of the kernel layer, an XFAIR_OBS=0 compile
 # check under -Werror (spans/counters compiled to no-ops), and a Release
-# run of the tree_shap throughput bench gated against the committed
-# artifact. With --bench, additionally regenerates all BENCH_*.json
-# artifacts via scripts/bench.sh (Release build; slower).
+# run of the kernel, fairness-SHAP, gopher and tree-fit benches gated
+# against the committed BENCH_*.json (35% threshold, 8 ms noise floor, up
+# to three attempts). With --bench, additionally regenerates all
+# BENCH_*.json artifacts via scripts/bench.sh (Release build; slower)
+# and gates them at bench_compare.py's defaults (15%, 1 ms floor).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,9 +130,10 @@ echo "== tree_shap + fairness_shap + gopher + tree_fit + obs-overhead benches (R
 # so the committed BENCH_*.json stay untouched, and gates optimized_ms
 # and the throughput fields (explanations_per_sec,
 # audit_rows_per_sec, candidates_per_sec, batch_speedup, algo_speedup)
-# against the committed artifacts through the extended bench_compare.py
-# (higher-is-better fields, 15% threshold, --min-ms noise floor on the
-# batch wall time). The same run gates the always-on sink cost: the
+# against the committed artifacts through bench_compare.py
+# (higher-is-better fields, 35% threshold, 8 ms --min-ms noise floor on
+# the wall time each field derives from; fields under it print as "not
+# gated"). The same run gates the always-on sink cost: the
 # top-level *_overhead_pct fields in BENCH_obs_overhead.json must stay
 # within bench_compare.py's absolute --max-overhead-pct budget (2%).
 # Each bench is filtered to one cheap benchmark: the JSON artifacts are

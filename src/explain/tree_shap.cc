@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "src/obs/obs.h"
-#include "src/util/kernels.h"
 #include "src/util/parallel.h"
 
 // The thresholded sweep's compare-pack kernel gets an AVX2 body when SIMD
@@ -31,9 +30,10 @@ namespace {
 constexpr size_t kMaxPathFeatures = 64;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Instances per SoA tile in the batch engine. Large enough to amortize
-/// each tree walk's shared path bookkeeping across many instances, small
-/// enough that a tile's columns and accumulators stay cache-resident.
+/// Instances per SoA tile in the thresholded sweep. Large enough to
+/// amortize each tree walk's shared path bookkeeping across many
+/// instances, small enough that a tile's columns and accumulators stay
+/// cache-resident.
 constexpr size_t kBatchTile = 1024;
 
 /// Leaf-delta memo width cap: tables are 2^m entries, so masks wider than
@@ -45,7 +45,7 @@ constexpr size_t kMemoMaxBits = 12;
 /// workload isn't explanation-serving anyway.
 constexpr size_t kNodeCacheCap = 64;
 
-/// Unified view of TreeNode / GbmNode for the walkers below.
+/// A TreeNode in the walkers' layout.
 struct ShapNode {
   int feature = -1;
   double threshold = 0.0;
@@ -63,15 +63,6 @@ std::vector<ShapNode> ToShapNodes(const std::vector<TreeNode>& nodes) {
   return out;
 }
 
-std::vector<ShapNode> ToShapNodes(const std::vector<GbmNode>& nodes) {
-  std::vector<ShapNode> out(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    out[i] = {nodes[i].feature, nodes[i].threshold, nodes[i].left,
-              nodes[i].right,   nodes[i].value,     nodes[i].cover};
-  }
-  return out;
-}
-
 const double* Factorials() {
   static const std::array<double, kMaxPathFeatures + 1> table = [] {
     std::array<double, kMaxPathFeatures + 1> t{};
@@ -82,24 +73,6 @@ const double* Factorials() {
     return t;
   }();
   return table.data();
-}
-
-/// w_m[j] = j! (m-1-j)! for j < m — the Shapley weight numerators for a
-/// path of m unique features, packed per m (row m at offset m(m-1)/2) so
-/// the per-leaf weight reduction is a plain kernels::Dot against a
-/// contiguous constant table. Requires m >= 1.
-const double* FactWeights(size_t m) {
-  static const std::vector<double>* flat = [] {
-    auto* t =
-        new std::vector<double>(kMaxPathFeatures * (kMaxPathFeatures + 1) / 2);
-    const double* fact = Factorials();
-    for (size_t rows = 1; rows <= kMaxPathFeatures; ++rows) {
-      double* w = t->data() + (rows - 1) * rows / 2;
-      for (size_t j = 0; j < rows; ++j) w[j] = fact[j] * fact[rows - 1 - j];
-    }
-    return t;
-  }();
-  return flat->data() + (m - 1) * m / 2;
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +94,6 @@ struct ShapModel {
   int max_feature = -1;
   size_t max_unique_path = 0;  ///< Max distinct features on a root-leaf path.
   size_t max_path_len = 0;     ///< Max edges on a root-leaf path.
-  size_t max_nodes = 0;        ///< Largest single tree (node count).
 };
 
 using ShapModelPtr = std::shared_ptr<const ShapModel>;
@@ -151,7 +123,6 @@ ShapModel BuildShapModel(std::vector<std::vector<ShapNode>> trees,
   for (const std::vector<ShapNode>& nodes : m.trees) {
     XFAIR_CHECK(!nodes.empty() && nodes[0].cover > 0.0);
     for (const ShapNode& n : nodes) m.max_feature = std::max(m.max_feature, n.feature);
-    m.max_nodes = std::max(m.max_nodes, nodes.size());
     AnalyzePaths(nodes, 0, &feats, 0, &m);
   }
   XFAIR_CHECK_MSG(m.max_unique_path <= kMaxPathFeatures,
@@ -202,145 +173,6 @@ ShapModelPtr ModelFor(const RandomForest& forest) {
     }
     return BuildShapModel(std::move(trees), forest.fit_id());
   });
-}
-
-ShapModelPtr ModelFor(const GradientBoostedTrees& gbm) {
-  return CachedShapModel(&gbm, gbm.fit_id(), [&gbm] {
-    std::vector<std::vector<ShapNode>> trees;
-    trees.reserve(gbm.trees().size());
-    for (const auto& tree : gbm.trees()) trees.push_back(ToShapNodes(tree));
-    return BuildShapModel(std::move(trees), gbm.fit_id());
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Path-dependent TreeSHAP.
-//
-// Per leaf, the EXPVALUE game restricted to the path's unique features is
-//   v(S) = value * prod_f (f in S ? one_f : zero_f),
-// with one_f = [x passes f's merged split interval] in {0, 1} and
-// zero_f = product of f's cover ratios along the path (> 0). The Shapley
-// weight sum for feature f needs the elementary symmetric polynomials of
-// the *other* factors, obtained by convolving all factors once (O(m^2))
-// and deconvolving one factor at a time (O(m) each).
-// ---------------------------------------------------------------------------
-
-/// One unique feature on the current root-to-node path.
-struct PdEntry {
-  int feature = -1;
-  double lo = -kInf, hi = kInf;  ///< Pass iff lo < x[feature] <= hi.
-  double zero = 1.0;             ///< Product of this feature's cover ratios.
-};
-
-struct PdScratch {
-  std::vector<PdEntry> path;
-  std::vector<double> ones;    ///< one_f per path entry, in path order.
-  std::vector<double> c;       ///< Coefficients of prod (zero_f + one_f t).
-  std::vector<double> cw;      ///< Coefficients with one factor removed.
-  std::vector<double> deltas;  ///< Per-entry phi increment of one leaf.
-};
-
-/// Full product polynomial of the path factors, built factor by factor in
-/// place: c[0..m] <- coefficients of prod_i (zero_i + one_i t).
-void PdConv(const PdEntry* path, const double* ones, size_t m, double* c) {
-  std::fill(c, c + m + 1, 0.0);
-  c[0] = 1.0;
-  for (size_t i = 0; i < m; ++i) {
-    const double zero = path[i].zero;
-    const double one = ones[i];
-    for (size_t j = i + 2; j-- > 0;) {
-      c[j] = zero * c[j] + (j > 0 ? one * c[j - 1] : 0.0);
-    }
-  }
-}
-
-/// Per-entry phi increments of one leaf given its convolved polynomial.
-/// This is THE shared leaf arithmetic: the per-instance walker and the
-/// batch engine both call it, so their attributions are bit-identical by
-/// construction. The weight reduction runs through kernels::Dot (pinned
-/// 4-lane order) against the packed factorial table.
-void PdDeltas(double value, const PdEntry* path, const double* ones, size_t m,
-              const double* c, double* cw, const double* fact, double* out) {
-  const double inv_mfact = 1.0 / fact[m];
-  const double* w = FactWeights(m);
-  for (size_t i = 0; i < m; ++i) {
-    const double zero = path[i].zero;
-    const double one = ones[i];
-    // Deconvolve factor i: c[j] = zero * cw[j] + one * cw[j-1].
-    if (one == 0.0) {
-      for (size_t j = 0; j < m; ++j) cw[j] = c[j] / zero;
-    } else {
-      cw[m - 1] = c[m];
-      for (size_t j = m - 1; j-- > 0;) {
-        cw[j] = c[j + 1] - zero * cw[j + 1];
-      }
-    }
-    const double acc = kernels::Dot(cw, w, m);
-    out[i] = value * (one - zero) * acc * inv_mfact;
-  }
-}
-
-void PdLeaf(double value, const double* x, PdScratch* s, Vector* phi,
-            double* base, const double* fact) {
-  const std::vector<PdEntry>& path = s->path;
-  const size_t m = path.size();
-  XFAIR_CHECK_MSG(m <= kMaxPathFeatures, "tree path too deep for TreeSHAP");
-  s->ones.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    const PdEntry& e = path[i];
-    s->ones[i] =
-        (e.lo < x[e.feature] && x[e.feature] <= e.hi) ? 1.0 : 0.0;
-  }
-  s->c.resize(m + 1);
-  PdConv(path.data(), s->ones.data(), m, s->c.data());
-  *base += value * s->c[0];  // c[0] = prod zero_f = P(leaf | empty coalition).
-  if (m == 0) return;
-  s->cw.resize(m);
-  s->deltas.resize(m);
-  PdDeltas(value, path.data(), s->ones.data(), m, s->c.data(), s->cw.data(),
-           fact, s->deltas.data());
-  for (size_t i = 0; i < m; ++i) {
-    (*phi)[static_cast<size_t>(path[i].feature)] += s->deltas[i];
-  }
-}
-
-void PdWalk(const std::vector<ShapNode>& nodes, int id, const double* x,
-            PdScratch* s, Vector* phi, double* base, const double* fact) {
-  const ShapNode& n = nodes[static_cast<size_t>(id)];
-  if (n.feature < 0) {
-    PdLeaf(n.value, x, s, phi, base, fact);
-    return;
-  }
-  auto descend = [&](int child, bool left_edge) {
-    const double ratio = nodes[static_cast<size_t>(child)].cover / n.cover;
-    size_t idx = 0;
-    while (idx < s->path.size() && s->path[idx].feature != n.feature) ++idx;
-    const bool existed = idx < s->path.size();
-    if (!existed) s->path.push_back({n.feature, -kInf, kInf, 1.0});
-    const PdEntry saved = s->path[idx];
-    PdEntry& e = s->path[idx];
-    if (left_edge) {
-      e.hi = std::min(e.hi, n.threshold);
-    } else {
-      e.lo = std::max(e.lo, n.threshold);
-    }
-    e.zero = saved.zero * ratio;
-    PdWalk(nodes, child, x, s, phi, base, fact);
-    if (existed) {
-      s->path[idx] = saved;
-    } else {
-      s->path.pop_back();
-    }
-  };
-  descend(n.left, /*left_edge=*/true);
-  descend(n.right, /*left_edge=*/false);
-}
-
-/// Adds one tree's path-dependent attributions into phi/base.
-void PathDependentTree(const std::vector<ShapNode>& nodes, const double* x,
-                       PdScratch* s, Vector* phi, double* base) {
-  XFAIR_CHECK(!nodes.empty() && nodes[0].cover > 0.0);
-  PdWalk(nodes, 0, x, s, phi, base, Factorials());
 }
 
 // ---------------------------------------------------------------------------
@@ -423,24 +255,6 @@ void IvWalk(const ShapNode* nodes, int id, const double* x,
   descend(n.right, /*left_edge=*/false);
 }
 
-/// EXPVALUE reference game: descend x's branch for unmasked features,
-/// cover-average both children for masked ones. Exponential when fed to
-/// ExactShapley — the oracle the polynomial algorithms are tested against.
-double ExpValue(const std::vector<ShapNode>& nodes, int id,
-                const std::vector<bool>& mask, const Vector& x) {
-  const ShapNode& n = nodes[static_cast<size_t>(id)];
-  if (n.feature < 0) return n.value;
-  const size_t f = static_cast<size_t>(n.feature);
-  if (mask[f]) {
-    return ExpValue(nodes, x[f] <= n.threshold ? n.left : n.right, mask, x);
-  }
-  const ShapNode& l = nodes[static_cast<size_t>(n.left)];
-  const ShapNode& r = nodes[static_cast<size_t>(n.right)];
-  return (l.cover * ExpValue(nodes, n.left, mask, x) +
-          r.cover * ExpValue(nodes, n.right, mask, x)) /
-         n.cover;
-}
-
 // ---------------------------------------------------------------------------
 // Scratch arenas.
 //
@@ -454,25 +268,24 @@ double ExpValue(const std::vector<ShapNode>& nodes, int id,
 // ---------------------------------------------------------------------------
 
 struct ShapArena {
-  // Per-instance walker scratch.
-  PdScratch pd;
+  // Interventional walker scratch: the merged-interval path, and the
+  // batch's per-background-chunk partials with their pairwise gather.
   std::vector<IvEntry> iv_path;
+  std::vector<double> partial, pair;
+  // Thresholded-sweep buffers: the thresholded tree, the SoA tile
+  // (cols), the path entries' features, the leaf memo, per-tile slice
+  // partials (caller-owned, workers write disjoint tiles), the
+  // background's per-edge saved coalition bits, and the tile-bitvector
+  // state — per-path-entry pass indicators (pbits), their per-edge-depth
+  // saves (psave), and the per-depth active-instance bitvectors
+  // (alive_bits), all stride kTileBlocks words per row (one bit per tile
+  // lane). The sweep's tile accumulator reuses `partial` and its
+  // cross-tile gather `pair`.
   std::vector<ShapNode> thresholded;
-  // Batch engine buffers (see PathDependentBatch for layouts).
-  std::vector<double> cols, partial, pair, memo_vals;
-  std::vector<double> miss_ones, miss_c, miss_cw, miss_deltas;
-  std::vector<uint8_t> saved_bits;
-  std::vector<uint64_t> masks, memo_epoch;
-  std::vector<PdEntry> bpath;
-  // Thresholded-sweep buffers: per-tile slice partials (caller-owned,
-  // workers write disjoint tiles), the background's per-edge saved
-  // coalition bits, and the tile-bitvector state — per-path-entry pass
-  // indicators (pbits), their per-edge-depth saves (psave), and the
-  // per-depth active-instance bitvectors (alive_bits), all stride
-  // kTileBlocks words per row (one bit per tile lane).
-  std::vector<double> slice_partial;
+  std::vector<double> cols, memo_vals, slice_partial;
+  std::vector<int> path_features;
   std::vector<uint8_t> zbits_saved;
-  std::vector<uint64_t> pbits, psave, alive_bits;
+  std::vector<uint64_t> memo_epoch, pbits, psave, alive_bits;
   uint64_t epoch = 0;  ///< Monotonic leaf counter stamping memo entries.
   int call_depth = 0;
   bool grew = false;
@@ -491,16 +304,6 @@ struct ShapArena {
     if (v->capacity() >= n) return;
     grew = true;
     v->reserve(n);
-  }
-
-  /// Sizes the per-instance path-dependent scratch for paths of up to
-  /// `max_unique` distinct features.
-  void EnsurePd(size_t max_unique) {
-    Reserve(&pd.path, max_unique + 1);
-    Reserve(&pd.ones, max_unique + 1);
-    Reserve(&pd.c, max_unique + 2);
-    Reserve(&pd.cw, max_unique + 1);
-    Reserve(&pd.deltas, max_unique + 1);
   }
 };
 
@@ -531,298 +334,60 @@ class ArenaCall {
   ShapArena* arena_;
 };
 
-// ---------------------------------------------------------------------------
-// Batched path-dependent engine.
-//
-// One DFS per (tree, instance tile) instead of per (tree, instance). The
-// tile is laid out structure-of-arrays (cols[f * tile + i]), so the split
-// test a node contributes to every instance's coalition indicator is one
-// contiguous compare over the tile. Each instance carries one packed
-// coalition mask whose bit `idx` answers "does this instance pass path
-// entry idx's merged interval?"; the masks are maintained incrementally
-// at descend edges, since the merged-interval test is exactly the AND of
-// the edge conditions along the path.
-//
-// At a leaf, the phi increments are a pure function of (leaf, coalition
-// mask), so they are computed once per distinct mask via PdDeltas — the
-// same routine the per-instance walker calls — and memoized in an
-// epoch-stamped table. Each instance then adds the *same doubles in the
-// same DFS order* as its per-instance walk would, which is the whole
-// bit-identity argument: batching changes how often numbers are computed,
-// never which numbers are added or in which order.
-// ---------------------------------------------------------------------------
-
-struct BatchCtx {
-  const ShapNode* nodes = nullptr;
-  const double* cols = nullptr;  ///< SoA tile: cols[f * tile + i].
-  size_t tile = 0;
-  size_t dim = 0;        ///< d + 1; slot d of each row is the base value.
-  double* acc = nullptr; ///< tile x dim accumulator (one row per instance).
-  double base_acc = 0.0; ///< Scalar base partial (instance-independent).
-  PdEntry* path = nullptr;
-  size_t path_len = 0;
-  uint8_t* saved_bits = nullptr;  ///< [edge depth][instance], stride tile.
-  uint64_t* masks = nullptr;      ///< Packed coalition mask per instance.
-  size_t m_cap = 0;
-  double* memo_vals = nullptr;    ///< [mask][k], stride m_cap.
-  uint64_t* memo_epoch = nullptr;
-  uint64_t* epoch = nullptr;
-  const double* fact = nullptr;
-  double* miss_ones = nullptr;
-  double* miss_c = nullptr;
-  double* miss_cw = nullptr;
-  double* miss_deltas = nullptr;
-  size_t memo_hits = 0, memo_misses = 0;
-};
-
-void PdLeafBatch(BatchCtx* ctx, double value) {
-  const size_t m = ctx->path_len;
-  const size_t tile = ctx->tile;
-  const size_t dim = ctx->dim;
-  // The conv polynomial's constant term is coalition-independent — just
-  // the running product of the zero factors in path order — so the base
-  // contribution is the same scalar for every instance. Every instance's
-  // base partial is therefore the identical DFS-ordered sum of these
-  // scalars; accumulate it once and broadcast after the tree chunk. The
-  // loop repeats PdConv's constant-lane arithmetic exactly
-  // (c[0] = zero * c[0]).
-  double c0 = 1.0;
-  for (size_t i = 0; i < m; ++i) c0 = ctx->path[i].zero * c0;
-  ctx->base_acc += value * c0;
-  if (m == 0) return;
-  if (m <= ctx->m_cap) {
-    const uint64_t epoch = ++*ctx->epoch;
-    for (size_t i = 0; i < tile; ++i) {
-      const uint64_t mask = ctx->masks[i];
-      double* vals = ctx->memo_vals + mask * ctx->m_cap;
-      if (ctx->memo_epoch[mask] != epoch) {
-        ctx->memo_epoch[mask] = epoch;
-        ++ctx->memo_misses;
-        for (size_t k = 0; k < m; ++k) {
-          ctx->miss_ones[k] = ((mask >> k) & 1) != 0 ? 1.0 : 0.0;
-        }
-        PdConv(ctx->path, ctx->miss_ones, m, ctx->miss_c);
-        PdDeltas(value, ctx->path, ctx->miss_ones, m, ctx->miss_c,
-                 ctx->miss_cw, ctx->fact, vals);
-      } else {
-        ++ctx->memo_hits;
-      }
-      double* row = ctx->acc + i * dim;
-      for (size_t k = 0; k < m; ++k) {
-        row[static_cast<size_t>(ctx->path[k].feature)] += vals[k];
-      }
-    }
-  } else {
-    // Path wider than the memo: compute each instance directly from its
-    // mask bits (still the shared PdConv/PdDeltas arithmetic).
-    for (size_t i = 0; i < tile; ++i) {
-      const uint64_t mask = ctx->masks[i];
-      for (size_t k = 0; k < m; ++k) {
-        ctx->miss_ones[k] = ((mask >> k) & 1) != 0 ? 1.0 : 0.0;
-      }
-      PdConv(ctx->path, ctx->miss_ones, m, ctx->miss_c);
-      PdDeltas(value, ctx->path, ctx->miss_ones, m, ctx->miss_c, ctx->miss_cw,
-               ctx->fact, ctx->miss_deltas);
-      double* row = ctx->acc + i * dim;
-      for (size_t k = 0; k < m; ++k) {
-        row[static_cast<size_t>(ctx->path[k].feature)] += ctx->miss_deltas[k];
-      }
-    }
-  }
+void CountBatch([[maybe_unused]] size_t instances) {
+  XFAIR_COUNTER_ADD("tree_shap/batch_calls", 1);
+  XFAIR_COUNTER_ADD("tree_shap/batch_instances", instances);
 }
 
-void PdWalkBatch(BatchCtx* ctx, int id, size_t depth) {
-  const ShapNode& n = ctx->nodes[static_cast<size_t>(id)];
-  if (n.feature < 0) {
-    PdLeafBatch(ctx, n.value);
-    return;
-  }
-  const size_t tile = ctx->tile;
-  const double* xcol = ctx->cols + static_cast<size_t>(n.feature) * tile;
-  const double thr = n.threshold;
-  // Both edges share the same path slot, so the entry search, the saved
-  // state, and the mask bit are hoisted; the left unwind fuses with the
-  // right set into a single tile pass (three passes per node, not four).
-  size_t idx = 0;
-  while (idx < ctx->path_len && ctx->path[idx].feature != n.feature) ++idx;
-  const bool existed = idx < ctx->path_len;
-  if (!existed) ctx->path[ctx->path_len++] = {n.feature, -kInf, kInf, 1.0};
-  const PdEntry saved = ctx->path[idx];
-  const double ratio_l = ctx->nodes[static_cast<size_t>(n.left)].cover / n.cover;
-  const double ratio_r =
-      ctx->nodes[static_cast<size_t>(n.right)].cover / n.cover;
-  const uint64_t bit = uint64_t{1} << idx;
-  uint8_t* save = ctx->saved_bits + depth * tile;
-  // Left edge: x <= thr.
-  {
-    PdEntry& e = ctx->path[idx];
-    e.hi = std::min(saved.hi, thr);
-    e.zero = saved.zero * ratio_l;
-  }
-  if (!existed) {
-    // Fresh entry: the indicator so far is just this edge's condition.
-    for (size_t i = 0; i < tile; ++i) {
-      if (xcol[i] <= thr) ctx->masks[i] |= bit;
-    }
-  } else {
-    // Revisited feature: AND this edge's condition into the running
-    // indicator bit, saving the previous bit for the transitions below.
-    for (size_t i = 0; i < tile; ++i) {
-      const uint64_t mask = ctx->masks[i];
-      save[i] = static_cast<uint8_t>((mask >> idx) & 1);
-      if (!(xcol[i] <= thr)) ctx->masks[i] = mask & ~bit;
-    }
-  }
-  PdWalkBatch(ctx, n.left, depth + 1);
-  // Right edge: x > thr. One pass rewrites the entry's bit from the
-  // pre-descend value (set or saved) AND the right condition.
-  {
-    PdEntry& e = ctx->path[idx];
-    e.lo = std::max(saved.lo, thr);
-    e.hi = saved.hi;
-    e.zero = saved.zero * ratio_r;
-  }
-  if (!existed) {
-    for (size_t i = 0; i < tile; ++i) {
-      ctx->masks[i] =
-          (ctx->masks[i] & ~bit) | (xcol[i] > thr ? bit : uint64_t{0});
-    }
-  } else {
-    for (size_t i = 0; i < tile; ++i) {
-      const uint64_t restored = static_cast<uint64_t>(save[i]) << idx;
-      ctx->masks[i] =
-          (ctx->masks[i] & ~bit) | (xcol[i] > thr ? restored : uint64_t{0});
-    }
-  }
-  PdWalkBatch(ctx, n.right, depth + 1);
-  if (!existed) {
-    for (size_t i = 0; i < tile; ++i) ctx->masks[i] &= ~bit;
-    --ctx->path_len;
-  } else {
-    for (size_t i = 0; i < tile; ++i) {
-      ctx->masks[i] =
-          (ctx->masks[i] & ~bit) | (static_cast<uint64_t>(save[i]) << idx);
-    }
-    ctx->path[idx] = saved;
-  }
-}
-
-/// How batch outputs are finalized from the raw tree-sum, mirroring the
-/// matching per-instance entry point's epilogue exactly.
-enum class BatchMode { kTree, kForestMean, kGbmMargin };
-
-void PathDependentBatch(const ShapModelPtr& model, BatchMode mode,
-                        double scale, double bias, const Matrix& xs,
-                        Matrix* phi, Vector* base) {
-  const size_t n = xs.rows();
-  const size_t d = xs.cols();
+/// Per-instance interventional engine over every tree of `model` (a
+/// DecisionTree is the one-tree model): background rows fan out over
+/// DeterministicChunks, and the chunk partials (phi in slots 0..d-1, the
+/// base value in slot d) combine in the fixed pairwise order.
+TreeShapExplanation InterventionalInstance(const ShapModelPtr& model,
+                                           const Matrix& background,
+                                           const Vector& x) {
+  XFAIR_CHECK(background.rows() > 0);
+  XFAIR_CHECK(x.size() == background.cols());
+  XFAIR_SPAN("tree_shap/interventional");
+  XFAIR_COUNTER_ADD("tree_shap/interventional_calls", 1);
+  XFAIR_COUNTER_ADD("tree_shap/background_rows", background.rows());
+  const size_t d = x.size();
   XFAIR_CHECK(model->max_feature < static_cast<int>(d));
-  XFAIR_CHECK(phi != nullptr && base != nullptr);
-  if (phi->rows() != n || phi->cols() != d) *phi = Matrix(n, d);
-  if (base->size() != n) base->assign(n, 0.0);
-  const size_t dim = d + 1;
-  // Replicate the per-instance tree reduction: same chunks, same pairwise
-  // combine, per instance.
-  const std::vector<ChunkRange> tchunks =
-      DeterministicChunks(0, model->trees.size());
-  const size_t nchunks = tchunks.size();
-  const size_t m_cap = std::min(model->max_unique_path, kMemoMaxBits);
-  // Parallelize over whole tiles, not raw instance ranges: the leaf memo
-  // amortizes one PdConv/PdDeltas per distinct coalition mask across the
-  // tile, so a full-width tile is what makes batching pay. Instance
-  // decomposition cannot affect results — each instance's phi is
-  // independent, and all order-sensitive reductions are within-instance.
-  const size_t ntiles = (n + kBatchTile - 1) / kBatchTile;
-  ParallelForChunks(0, ntiles, [&](const ChunkRange& ichunk) {
-    ShapArena& arena = LocalArena();
-    ArenaCall call(&arena);
-    // Size everything for a full tile regardless of this chunk's length,
-    // so every worker's arena converges to the same steady-state shape.
-    arena.Ensure(&arena.cols, d * kBatchTile);
-    arena.Ensure(&arena.saved_bits, (model->max_path_len + 1) * kBatchTile);
-    arena.Ensure(&arena.masks, kBatchTile);
-    arena.Ensure(&arena.bpath, model->max_unique_path + 1);
-    arena.Ensure(&arena.partial, nchunks * kBatchTile * dim);
-    arena.Ensure(&arena.pair, nchunks);
-    arena.Ensure(&arena.memo_vals,
-                 (uint64_t{1} << m_cap) * std::max<size_t>(m_cap, 1));
-    arena.Ensure(&arena.memo_epoch, uint64_t{1} << m_cap);
-    arena.Ensure(&arena.miss_ones, model->max_unique_path + 1);
-    arena.Ensure(&arena.miss_c, model->max_unique_path + 2);
-    arena.Ensure(&arena.miss_cw, model->max_unique_path + 1);
-    arena.Ensure(&arena.miss_deltas, model->max_unique_path + 1);
-    BatchCtx ctx;
-    ctx.dim = dim;
-    ctx.path = arena.bpath.data();
-    ctx.saved_bits = arena.saved_bits.data();
-    ctx.masks = arena.masks.data();
-    ctx.m_cap = m_cap;
-    ctx.memo_vals = arena.memo_vals.data();
-    ctx.memo_epoch = arena.memo_epoch.data();
-    ctx.epoch = &arena.epoch;
-    ctx.fact = Factorials();
-    ctx.miss_ones = arena.miss_ones.data();
-    ctx.miss_c = arena.miss_c.data();
-    ctx.miss_cw = arena.miss_cw.data();
-    ctx.miss_deltas = arena.miss_deltas.data();
-    for (size_t ti = ichunk.begin; ti < ichunk.end; ++ti) {
-      const size_t at = ti * kBatchTile;
-      const size_t tile = std::min(kBatchTile, n - at);
-      ctx.tile = tile;
-      double* cols = arena.cols.data();
-      for (size_t i = 0; i < tile; ++i) {
-        const double* row = xs.RowPtr(at + i);
-        for (size_t f = 0; f < d; ++f) cols[f * tile + i] = row[f];
-      }
-      ctx.cols = cols;
-      for (size_t k = 0; k < nchunks; ++k) {
-        double* part = arena.partial.data() + k * kBatchTile * dim;
-        std::fill(part, part + tile * dim, 0.0);
-        ctx.acc = part;
-        ctx.base_acc = 0.0;
-        for (size_t t = tchunks[k].begin; t < tchunks[k].end; ++t) {
-          ctx.nodes = model->trees[t].data();
-          ctx.path_len = 0;
-          std::fill(arena.masks.data(), arena.masks.data() + tile,
-                    uint64_t{0});
-          PdWalkBatch(&ctx, 0, 0);
-        }
-        for (size_t i = 0; i < tile; ++i) {
-          part[i * dim + dim - 1] = ctx.base_acc;
-        }
-      }
-      for (size_t i = 0; i < tile; ++i) {
-        double* out_row = phi->RowPtr(at + i);
-        for (size_t c = 0; c < dim; ++c) {
-          for (size_t k = 0; k < nchunks; ++k) {
-            arena.pair[k] = arena.partial[k * kBatchTile * dim + i * dim + c];
-          }
-          const double acc = PairwiseSumInPlace(arena.pair.data(), nchunks);
-          if (c < d) {
-            out_row[c] = mode == BatchMode::kTree ? acc : acc * scale;
-          } else {
-            (*base)[at + i] = mode == BatchMode::kTree ? acc
-                              : mode == BatchMode::kForestMean
-                                  ? acc * scale
-                                  : bias + scale * acc;
+  Vector acc = ParallelReduceVector(
+      0, background.rows(), d + 1, [&](const ChunkRange& chunk, Vector* out) {
+        ShapArena& arena = LocalArena();
+        ArenaCall call(&arena);
+        arena.Reserve(&arena.iv_path, model->max_unique_path + 1);
+        for (size_t b = chunk.begin; b < chunk.end; ++b) {
+          for (const std::vector<ShapNode>& nodes : model->trees) {
+            IvWalk(nodes.data(), 0, x.data(), background.RowPtr(b),
+                   &arena.iv_path, 1.0, out->data(), &(*out)[d],
+                   Factorials());
           }
         }
-      }
-    }
-    XFAIR_COUNTER_ADD("tree_shap/leaf_memo_hits", ctx.memo_hits);
-    XFAIR_COUNTER_ADD("tree_shap/leaf_memo_misses", ctx.memo_misses);
-  });
+      });
+  const double inv = 1.0 / (static_cast<double>(background.rows()) *
+                            static_cast<double>(model->trees.size()));
+  TreeShapExplanation out;
+  out.phi.assign(acc.begin(), acc.begin() + static_cast<long>(d));
+  for (double& v : out.phi) v *= inv;
+  out.base_value = acc[d] * inv;
+  return out;
 }
 
 /// Batched interventional engine: instances fan out over chunks, and each
-/// instance replays the per-instance background-chunk pairwise reduction
-/// exactly (same chunks, same tree order, same combine, same scaling).
+/// instance replays InterventionalInstance's background-chunk pairwise
+/// reduction exactly (same chunks, same tree order, same combine, same
+/// scaling).
 void InterventionalBatch(const ShapModelPtr& model, const Matrix& background,
                          const Matrix& xs, Matrix* phi, Vector* base) {
   const size_t n = xs.rows();
   const size_t d = xs.cols();
   XFAIR_CHECK(background.rows() > 0);
   XFAIR_CHECK(background.cols() == d);
+  XFAIR_SPAN("tree_shap/batch_interventional");
+  CountBatch(n);
+  XFAIR_COUNTER_ADD("tree_shap/background_rows", background.rows());
   XFAIR_CHECK(model->max_feature < static_cast<int>(d));
   XFAIR_CHECK(phi != nullptr && base != nullptr);
   if (phi->rows() != n || phi->cols() != d) *phi = Matrix(n, d);
@@ -878,10 +443,9 @@ void InterventionalBatch(const ShapModelPtr& model, const Matrix& background,
 // idx's merged interval?", one kTileBlocks-word row per entry). A descend
 // edge then costs one compare-pack per 64-lane block (compare the SoA
 // column against the threshold, movemask the results into a word) plus a
-// couple of word-wide AND/saves — the per-instance bookkeeping of the
-// old per-lane mask updates collapses into whole-word set algebra. The
-// single background row z keeps the scalar analogue (zbits + a per-edge
-// saved bit).
+// couple of word-wide AND/saves, so per-instance bookkeeping collapses
+// into whole-word set algebra. The single background row z keeps the
+// scalar analogue (zbits + a per-edge saved bit).
 //
 // The interventional game prunes: an instance whose merged interval is
 // passed by neither x nor z reaches no leaf below, so the DFS carries a
@@ -924,7 +488,7 @@ struct IvBatchCtx {
   size_t nblk = 0;        ///< ceil(tile / kBlockLanes) words in play.
   size_t dim = 0;         ///< d + 1; slot d of each row is the base value.
   double* acc = nullptr;  ///< tile x dim accumulator (one row per instance).
-  PdEntry* path = nullptr;  ///< Only .feature is read at leaves.
+  int* path = nullptr;   ///< Feature of each path entry.
   size_t path_len = 0;
   uint64_t* pbits = nullptr;  ///< [entry idx][block] pass indicators.
   uint64_t* psave = nullptr;  ///< [edge depth][block] saved entry row.
@@ -1030,7 +594,7 @@ void IvLeafBatch(IvBatchCtx* ctx, double value, const uint64_t* alive) {
       // Ascending entry order == the per-row walk's path iteration order.
       for (uint64_t a = act; a != 0; a &= a - 1) {
         const size_t k = static_cast<size_t>(__builtin_ctzll(a));
-        const size_t f = static_cast<size_t>(ctx->path[k].feature);
+        const size_t f = static_cast<size_t>(ctx->path[k]);
         row[f] += wt * vals[(mask >> k) & 1 ? 0 : 1];
       }
     }
@@ -1143,9 +707,9 @@ void IvWalkBatch(IvBatchCtx* ctx, int id, size_t depth,
   const double thr = n.threshold;
   const double zval = ctx->z[static_cast<size_t>(n.feature)];
   size_t idx = 0;
-  while (idx < ctx->path_len && ctx->path[idx].feature != n.feature) ++idx;
+  while (idx < ctx->path_len && ctx->path[idx] != n.feature) ++idx;
   const bool existed = idx < ctx->path_len;
-  if (!existed) ctx->path[ctx->path_len++] = {n.feature, -kInf, kInf, 1.0};
+  if (!existed) ctx->path[ctx->path_len++] = n.feature;
   const uint64_t bit = uint64_t{1} << idx;
   const uint8_t zprev = static_cast<uint8_t>((ctx->zbits >> idx) & 1);
   if (existed) ctx->zsaved[depth] = zprev;
@@ -1217,200 +781,20 @@ ShapNode* ThresholdInto(ShapArena* arena, const std::vector<ShapNode>& src,
   return thresholded;
 }
 
-void CountBatch([[maybe_unused]] size_t instances) {
-  XFAIR_COUNTER_ADD("tree_shap/batch_calls", 1);
-  XFAIR_COUNTER_ADD("tree_shap/batch_instances", instances);
-}
-
 }  // namespace
-
-TreeShapExplanation PathDependentTreeShap(const DecisionTree& tree,
-                                          const Vector& x) {
-  XFAIR_CHECK_MSG(tree.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/path_dependent");
-  XFAIR_COUNTER_ADD("tree_shap/path_dependent_calls", 1);
-  const ShapModelPtr model = ModelFor(tree);
-  XFAIR_CHECK(model->max_feature < static_cast<int>(x.size()));
-  TreeShapExplanation out;
-  out.phi.assign(x.size(), 0.0);
-  ShapArena& arena = LocalArena();
-  ArenaCall call(&arena);
-  arena.EnsurePd(model->max_unique_path);
-  PathDependentTree(model->trees[0], x.data(), &arena.pd, &out.phi,
-                    &out.base_value);
-  return out;
-}
-
-TreeShapExplanation PathDependentTreeShap(const RandomForest& forest,
-                                          const Vector& x) {
-  XFAIR_CHECK_MSG(forest.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/path_dependent");
-  XFAIR_COUNTER_ADD("tree_shap/path_dependent_calls", 1);
-  const ShapModelPtr model = ModelFor(forest);
-  const size_t d = x.size();
-  XFAIR_CHECK(model->max_feature < static_cast<int>(d));
-  const size_t num_trees = model->trees.size();
-  // Slot d carries the base value so one reduction covers everything.
-  Vector acc = ParallelReduceVector(
-      0, num_trees, d + 1, [&](const ChunkRange& chunk, Vector* out) {
-        ShapArena& arena = LocalArena();
-        ArenaCall call(&arena);
-        arena.EnsurePd(model->max_unique_path);
-        for (size_t t = chunk.begin; t < chunk.end; ++t) {
-          PathDependentTree(model->trees[t], x.data(), &arena.pd, out,
-                            &(*out)[d]);
-        }
-      });
-  const double inv = 1.0 / static_cast<double>(num_trees);
-  TreeShapExplanation out;
-  out.phi.assign(acc.begin(), acc.begin() + static_cast<long>(d));
-  for (double& v : out.phi) v *= inv;
-  out.base_value = acc[d] * inv;
-  return out;
-}
-
-TreeShapExplanation PathDependentTreeShapMargin(
-    const GradientBoostedTrees& gbm, const Vector& x) {
-  XFAIR_CHECK_MSG(gbm.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/path_dependent");
-  XFAIR_COUNTER_ADD("tree_shap/path_dependent_calls", 1);
-  const ShapModelPtr model = ModelFor(gbm);
-  const size_t d = x.size();
-  XFAIR_CHECK(model->max_feature < static_cast<int>(d));
-  Vector acc = ParallelReduceVector(
-      0, model->trees.size(), d + 1,
-      [&](const ChunkRange& chunk, Vector* out) {
-        ShapArena& arena = LocalArena();
-        ArenaCall call(&arena);
-        arena.EnsurePd(model->max_unique_path);
-        for (size_t t = chunk.begin; t < chunk.end; ++t) {
-          PathDependentTree(model->trees[t], x.data(), &arena.pd, out,
-                            &(*out)[d]);
-        }
-      });
-  TreeShapExplanation out;
-  out.phi.assign(acc.begin(), acc.begin() + static_cast<long>(d));
-  for (double& v : out.phi) v *= gbm.learning_rate();
-  out.base_value = gbm.bias() + gbm.learning_rate() * acc[d];
-  return out;
-}
-
-void TreeShapBatchInto(const DecisionTree& tree, const Matrix& xs,
-                       Matrix* phi, Vector* base_values) {
-  XFAIR_CHECK_MSG(tree.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/batch");
-  XFAIR_LATENCY_NS("latency/tree_shap_batch_ns");
-  CountBatch(xs.rows());
-  PathDependentBatch(ModelFor(tree), BatchMode::kTree, 1.0, 0.0, xs, phi,
-                     base_values);
-}
-
-void TreeShapBatchInto(const RandomForest& forest, const Matrix& xs,
-                       Matrix* phi, Vector* base_values) {
-  XFAIR_CHECK_MSG(forest.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/batch");
-  XFAIR_LATENCY_NS("latency/tree_shap_batch_ns");
-  CountBatch(xs.rows());
-  const ShapModelPtr model = ModelFor(forest);
-  const double inv = 1.0 / static_cast<double>(model->trees.size());
-  PathDependentBatch(model, BatchMode::kForestMean, inv, 0.0, xs, phi,
-                     base_values);
-}
-
-void TreeShapBatchMarginInto(const GradientBoostedTrees& gbm,
-                             const Matrix& xs, Matrix* phi,
-                             Vector* base_values) {
-  XFAIR_CHECK_MSG(gbm.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/batch");
-  XFAIR_LATENCY_NS("latency/tree_shap_batch_ns");
-  CountBatch(xs.rows());
-  PathDependentBatch(ModelFor(gbm), BatchMode::kGbmMargin,
-                     gbm.learning_rate(), gbm.bias(), xs, phi, base_values);
-}
-
-TreeShapBatchExplanation TreeShapBatch(const DecisionTree& tree,
-                                       const Matrix& xs) {
-  TreeShapBatchExplanation out;
-  TreeShapBatchInto(tree, xs, &out.phi, &out.base_values);
-  return out;
-}
-
-TreeShapBatchExplanation TreeShapBatch(const RandomForest& forest,
-                                       const Matrix& xs) {
-  TreeShapBatchExplanation out;
-  TreeShapBatchInto(forest, xs, &out.phi, &out.base_values);
-  return out;
-}
-
-TreeShapBatchExplanation TreeShapBatchMargin(const GradientBoostedTrees& gbm,
-                                             const Matrix& xs) {
-  TreeShapBatchExplanation out;
-  TreeShapBatchMarginInto(gbm, xs, &out.phi, &out.base_values);
-  return out;
-}
 
 TreeShapExplanation InterventionalTreeShap(const DecisionTree& tree,
                                            const Matrix& background,
                                            const Vector& x) {
   XFAIR_CHECK_MSG(tree.fitted(), "model not fitted");
-  XFAIR_CHECK(background.rows() > 0);
-  XFAIR_CHECK(x.size() == background.cols());
-  XFAIR_SPAN("tree_shap/interventional");
-  XFAIR_COUNTER_ADD("tree_shap/interventional_calls", 1);
-  XFAIR_COUNTER_ADD("tree_shap/background_rows", background.rows());
-  const ShapModelPtr model = ModelFor(tree);
-  XFAIR_CHECK(model->max_feature < static_cast<int>(x.size()));
-  const size_t d = x.size();
-  Vector acc = ParallelReduceVector(
-      0, background.rows(), d + 1, [&](const ChunkRange& chunk, Vector* out) {
-        ShapArena& arena = LocalArena();
-        ArenaCall call(&arena);
-        arena.Reserve(&arena.iv_path, model->max_unique_path + 1);
-        for (size_t b = chunk.begin; b < chunk.end; ++b) {
-          IvWalk(model->trees[0].data(), 0, x.data(), background.RowPtr(b),
-                 &arena.iv_path, 1.0, out->data(), &(*out)[d], Factorials());
-        }
-      });
-  const double inv = 1.0 / static_cast<double>(background.rows());
-  TreeShapExplanation out;
-  out.phi.assign(acc.begin(), acc.begin() + static_cast<long>(d));
-  for (double& v : out.phi) v *= inv;
-  out.base_value = acc[d] * inv;
-  return out;
+  return InterventionalInstance(ModelFor(tree), background, x);
 }
 
 TreeShapExplanation InterventionalTreeShap(const RandomForest& forest,
                                            const Matrix& background,
                                            const Vector& x) {
   XFAIR_CHECK_MSG(forest.fitted(), "model not fitted");
-  XFAIR_CHECK(background.rows() > 0);
-  XFAIR_CHECK(x.size() == background.cols());
-  XFAIR_SPAN("tree_shap/interventional");
-  XFAIR_COUNTER_ADD("tree_shap/interventional_calls", 1);
-  XFAIR_COUNTER_ADD("tree_shap/background_rows", background.rows());
-  const size_t d = x.size();
-  const ShapModelPtr model = ModelFor(forest);
-  XFAIR_CHECK(model->max_feature < static_cast<int>(d));
-  Vector acc = ParallelReduceVector(
-      0, background.rows(), d + 1, [&](const ChunkRange& chunk, Vector* out) {
-        ShapArena& arena = LocalArena();
-        ArenaCall call(&arena);
-        arena.Reserve(&arena.iv_path, model->max_unique_path + 1);
-        for (size_t b = chunk.begin; b < chunk.end; ++b) {
-          for (const std::vector<ShapNode>& nodes : model->trees) {
-            IvWalk(nodes.data(), 0, x.data(), background.RowPtr(b),
-                   &arena.iv_path, 1.0, out->data(), &(*out)[d],
-                   Factorials());
-          }
-        }
-      });
-  const double inv = 1.0 / (static_cast<double>(background.rows()) *
-                            static_cast<double>(model->trees.size()));
-  TreeShapExplanation out;
-  out.phi.assign(acc.begin(), acc.begin() + static_cast<long>(d));
-  for (double& v : out.phi) v *= inv;
-  out.base_value = acc[d] * inv;
-  return out;
+  return InterventionalInstance(ModelFor(forest), background, x);
 }
 
 void InterventionalTreeShapBatchInto(const DecisionTree& tree,
@@ -1418,9 +802,6 @@ void InterventionalTreeShapBatchInto(const DecisionTree& tree,
                                      const Matrix& xs, Matrix* phi,
                                      Vector* base_values) {
   XFAIR_CHECK_MSG(tree.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/batch_interventional");
-  CountBatch(xs.rows());
-  XFAIR_COUNTER_ADD("tree_shap/background_rows", background.rows());
   InterventionalBatch(ModelFor(tree), background, xs, phi, base_values);
 }
 
@@ -1429,9 +810,6 @@ void InterventionalTreeShapBatchInto(const RandomForest& forest,
                                      const Matrix& xs, Matrix* phi,
                                      Vector* base_values) {
   XFAIR_CHECK_MSG(forest.fitted(), "model not fitted");
-  XFAIR_SPAN("tree_shap/batch_interventional");
-  CountBatch(xs.rows());
-  XFAIR_COUNTER_ADD("tree_shap/background_rows", background.rows());
   InterventionalBatch(ModelFor(forest), background, xs, phi, base_values);
 }
 
@@ -1485,7 +863,7 @@ Vector InterventionalTreeShapThresholded(const DecisionTree& tree,
     arena.Ensure(&arena.psave, (model->max_path_len + 1) * kTileBlocks);
     arena.Ensure(&arena.zbits_saved, model->max_path_len + 1);
     arena.Ensure(&arena.alive_bits, (model->max_path_len + 2) * kTileBlocks);
-    arena.Ensure(&arena.bpath, model->max_unique_path + 1);
+    arena.Ensure(&arena.path_features, model->max_unique_path + 1);
     arena.Ensure(&arena.partial, kBatchTile * dim);
     arena.Ensure(&arena.memo_vals, (uint64_t{1} << m_cap) * 2);
     arena.Ensure(&arena.memo_epoch, uint64_t{1} << m_cap);
@@ -1493,7 +871,7 @@ Vector InterventionalTreeShapThresholded(const DecisionTree& tree,
     ctx.nodes = thresholded;
     ctx.z = z.data();
     ctx.dim = dim;
-    ctx.path = arena.bpath.data();
+    ctx.path = arena.path_features.data();
     ctx.pbits = arena.pbits.data();
     ctx.psave = arena.psave.data();
     ctx.zsaved = arena.zbits_saved.data();
@@ -1555,41 +933,6 @@ Vector InterventionalTreeShapThresholded(const DecisionTree& tree,
     out[c] = PairwiseSumInPlace(caller_arena.pair.data(), ntiles);
   }
   return out;
-}
-
-CoalitionValue PathDependentGame(const DecisionTree& tree, const Vector& x) {
-  XFAIR_CHECK_MSG(tree.fitted(), "model not fitted");
-  const ShapModelPtr model = ModelFor(tree);
-  return [model, x](const std::vector<bool>& mask) {
-    return ExpValue(model->trees[0], 0, mask, x);
-  };
-}
-
-CoalitionValue PathDependentGame(const RandomForest& forest, const Vector& x) {
-  XFAIR_CHECK_MSG(forest.fitted(), "model not fitted");
-  const ShapModelPtr model = ModelFor(forest);
-  return [model, x](const std::vector<bool>& mask) {
-    double acc = 0.0;
-    for (const std::vector<ShapNode>& nodes : model->trees) {
-      acc += ExpValue(nodes, 0, mask, x);
-    }
-    return acc / static_cast<double>(model->trees.size());
-  };
-}
-
-CoalitionValue PathDependentGameMargin(const GradientBoostedTrees& gbm,
-                                       const Vector& x) {
-  XFAIR_CHECK_MSG(gbm.fitted(), "model not fitted");
-  const ShapModelPtr model = ModelFor(gbm);
-  const double lr = gbm.learning_rate();
-  const double bias = gbm.bias();
-  return [model, x, lr, bias](const std::vector<bool>& mask) {
-    double acc = bias;
-    for (const std::vector<ShapNode>& nodes : model->trees) {
-      acc += lr * ExpValue(nodes, 0, mask, x);
-    }
-    return acc;
-  };
 }
 
 }  // namespace xfair

@@ -38,7 +38,9 @@ GroupFairnessReport DeriveGroupFairness(const GroupCounts& g0,
   const double rate1 = static_cast<double>(g1.favorable) /
                        static_cast<double>(g1.rows);
   r.statistical_parity_difference = rate0 - rate1;
-  r.disparate_impact_ratio = rate0 <= 0.0 ? 1.0 : rate1 / rate0;
+  r.disparate_impact_defined = rate0 > 0.0;
+  r.disparate_impact_ratio =
+      r.disparate_impact_defined ? rate1 / rate0 : 1.0;
   r.equal_opportunity_difference = c0.tpr() - c1.tpr();
   r.equalized_odds_difference = std::max(std::fabs(c0.tpr() - c1.tpr()),
                                          std::fabs(c0.fpr() - c1.fpr()));
@@ -68,7 +70,9 @@ std::string GroupFairnessReport::ToString() const {
   t.AddRow({"accuracy", FormatDouble(accuracy)});
   t.AddRow({"statistical_parity_diff",
             FormatDouble(statistical_parity_difference)});
-  t.AddRow({"disparate_impact_ratio", FormatDouble(disparate_impact_ratio)});
+  t.AddRow({"disparate_impact_ratio",
+            disparate_impact_defined ? FormatDouble(disparate_impact_ratio)
+                                     : "undefined"});
   t.AddRow({"equal_opportunity_diff",
             FormatDouble(equal_opportunity_difference)});
   t.AddRow({"equalized_odds_diff", FormatDouble(equalized_odds_difference)});

@@ -21,7 +21,9 @@
 // Single-group data (either group empty) has no between-group comparison
 // to make: every difference is 0, the disparate impact ratio is 1 and the
 // calibration gap is 0 — the "fair" sentinels — instead of comparing a
-// real rate against an empty group's vacuous zero.
+// real rate against an empty group's vacuous zero. The ratio's sentinel
+// is flagged (disparate_impact_defined is false), and ToString prints it
+// as "undefined".
 
 #ifndef XFAIR_FAIRNESS_GROUP_METRICS_H_
 #define XFAIR_FAIRNESS_GROUP_METRICS_H_
@@ -73,6 +75,9 @@ struct GroupFairnessReport {
   /// P(yhat=1 | G+) / P(yhat=1 | G-). The legal "80% rule" flags values
   /// below 0.8. 1 if the denominator is 0.
   double disparate_impact_ratio = 1.0;
+  /// False when disparate_impact_ratio holds its sentinel 1 rather than a
+  /// ratio: G- is never favored (zero denominator) or a group is empty.
+  bool disparate_impact_defined = false;
   /// TPR(G-) - TPR(G+). Equal opportunity holds iff 0.
   double equal_opportunity_difference = 0.0;
   /// max(|TPR gap|, |FPR gap|). Equalized odds holds iff 0.

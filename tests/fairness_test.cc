@@ -251,11 +251,54 @@ TEST(GroupMetrics, SingleGroupDatasetUsesFairSentinels) {
   EXPECT_TRUE(report.single_group);
   EXPECT_DOUBLE_EQ(report.statistical_parity_difference, 0.0);
   EXPECT_DOUBLE_EQ(report.disparate_impact_ratio, 1.0);
+  EXPECT_FALSE(report.disparate_impact_defined);
   EXPECT_DOUBLE_EQ(report.equal_opportunity_difference, 0.0);
   EXPECT_DOUBLE_EQ(report.equalized_odds_difference, 0.0);
   EXPECT_DOUBLE_EQ(report.predictive_parity_difference, 0.0);
   EXPECT_DOUBLE_EQ(report.calibration_gap, 0.0);
   EXPECT_NEAR(report.accuracy, 0.6, 1e-12);
+}
+
+TEST(GroupMetrics, DisparateImpactIsDefinedIffTheUnprotectedGroupIsFavored) {
+  LookupModel m;
+  // rate(G+) / rate(G-) = 0.4 / 0.8.
+  GroupFairnessReport r =
+      EvaluateGroupFairness(m, ControlledData(10, 4, 10, 8));
+  EXPECT_TRUE(r.disparate_impact_defined);
+  EXPECT_DOUBLE_EQ(r.disparate_impact_ratio, 0.5);
+  // G+ never favored: a real ratio of 0, not a sentinel.
+  r = EvaluateGroupFairness(m, ControlledData(10, 0, 10, 5));
+  EXPECT_TRUE(r.disparate_impact_defined);
+  EXPECT_DOUBLE_EQ(r.disparate_impact_ratio, 0.0);
+  // G- never favored (with and without G+ favored): zero denominator, so
+  // the ratio keeps its sentinel 1 and the flag says it is one.
+  for (size_t pos1 : {size_t{5}, size_t{0}}) {
+    r = EvaluateGroupFairness(m, ControlledData(10, pos1, 10, 0));
+    EXPECT_FALSE(r.single_group);
+    EXPECT_FALSE(r.disparate_impact_defined) << "pos1 " << pos1;
+    EXPECT_DOUBLE_EQ(r.disparate_impact_ratio, 1.0) << "pos1 " << pos1;
+  }
+}
+
+TEST(GroupMetrics, ToStringPrintsUndefinedDisparateImpactInsteadOfSentinel) {
+  LookupModel m;
+  const auto ratio_row = [](const GroupFairnessReport& r) {
+    const std::string text = r.ToString();
+    const size_t at = text.find("disparate_impact_ratio");
+    EXPECT_NE(at, std::string::npos) << text;
+    if (at == std::string::npos) return std::string();
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  const std::string defined =
+      ratio_row(EvaluateGroupFairness(m, ControlledData(10, 4, 10, 8)));
+  EXPECT_NE(defined.find("0.500"), std::string::npos) << defined;
+  EXPECT_EQ(defined.find("undefined"), std::string::npos) << defined;
+  for (const Dataset& d :
+       {ControlledData(10, 5, 10, 0), ControlledData(0, 0, 10, 6)}) {
+    const std::string row = ratio_row(EvaluateGroupFairness(m, d));
+    EXPECT_NE(row.find("undefined"), std::string::npos) << row;
+    EXPECT_EQ(row.find("1.000"), std::string::npos) << row;
+  }
 }
 
 }  // namespace

@@ -97,6 +97,23 @@ void IvWalk(const std::vector<TreeNode>& nodes, int id, const double* x,
 
 }  // namespace
 
+CoalitionValue MaskingGame(const Model& model, const Matrix& background,
+                           const Vector& x) {
+  return [&model, &background, x](const std::vector<bool>& mask) {
+    Matrix z(background.rows(), x.size());
+    for (size_t b = 0; b < background.rows(); ++b) {
+      const double* row = background.RowPtr(b);
+      double* out = z.RowPtr(b);
+      for (size_t c = 0; c < x.size(); ++c)
+        out[c] = mask[c] ? x[c] : row[c];
+    }
+    const Vector proba = model.PredictProbaBatch(z);
+    double acc = 0.0;
+    for (double p : proba) acc += p;
+    return acc / static_cast<double>(background.rows());
+  };
+}
+
 Vector InterventionalTreeShapThresholdedLooped(
     const DecisionTree& tree, const Matrix& xs,
     const std::vector<size_t>& rows, const Vector& weights, const Vector& z,

@@ -1,7 +1,9 @@
-// References for the tree fast paths of the fairness Shapley
-// decomposition [81] (paper §IV-B). The looped thresholded walk is the
-// 0-ulp oracle of InterventionalTreeShapThresholded's batched sweep
-// (DESIGN.md §10); BlackBoxModel hides a tree's type so
+// References for the interventional TreeSHAP engines and the tree fast
+// paths of the fairness Shapley decomposition [81] (paper §IV-B).
+// MaskingGame is the coalition game interventional TreeSHAP solves in
+// closed form, for ExactShapley to enumerate; the looped thresholded walk
+// is the 0-ulp oracle of InterventionalTreeShapThresholded's batched
+// sweep (DESIGN.md §10); BlackBoxModel hides a tree's type so
 // ExplainParityWithShapley runs its generic coalition engine on it.
 // Linked by the tests and the benches (xfair_oracles), never by the
 // library.
@@ -12,9 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "src/explain/shap.h"
 #include "src/model/decision_tree.h"
 
 namespace xfair::oracles {
+
+/// The masking game ShapExplainInstance evaluates: v(S) is the model's
+/// mean probability over `background` rows with the coalition's features
+/// overwritten by x. `model` and `background` must outlive the game.
+CoalitionValue MaskingGame(const Model& model, const Matrix& background,
+                           const Vector& x);
 
 /// InterventionalTreeShapThresholded's game solved by one independent
 /// interventional walk per row over the {0,1}-thresholded tree, with the

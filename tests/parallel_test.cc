@@ -442,11 +442,33 @@ TEST(ParallelExplain, TreeShapIsThreadCountInvariant) {
         // Dispatches to interventional TreeSHAP (reduction over
         // background rows) for tree models.
         Rng rng(509);
-        Vector phi = ShapExplainInstance(forest, background, x, 50, &rng);
-        const TreeShapExplanation pd = PathDependentTreeShap(forest, x);
-        phi.insert(phi.end(), pd.phi.begin(), pd.phi.end());
-        phi.push_back(pd.base_value);
-        return phi;
+        return ShapExplainInstance(forest, background, x, 50, &rng);
+      },
+      [](const Vector& a, const Vector& b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+      });
+}
+
+TEST(ParallelExplain, TreeShapOnDecisionTreeIsThreadCountInvariant) {
+  // The DecisionTree overload runs the forest engine on its one-tree
+  // model: the same background-chunk reduction, invariant per instance.
+  Dataset data = CreditGen().Generate(300, 510);
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Fit(data).ok());
+  std::vector<size_t> keep;
+  for (size_t i = 0; i < 40; ++i) keep.push_back(i);
+  const Matrix background = data.Subset(keep).x();
+  ExpectSameAcrossThreadCounts<Vector>(
+      [&] {
+        Vector out;
+        for (size_t i : {120u, 121u, 205u}) {
+          const TreeShapExplanation e =
+              InterventionalTreeShap(tree, background, data.instance(i));
+          out.insert(out.end(), e.phi.begin(), e.phi.end());
+          out.push_back(e.base_value);
+        }
+        return out;
       },
       [](const Vector& a, const Vector& b) {
         ASSERT_EQ(a.size(), b.size());
@@ -467,25 +489,21 @@ Vector FlattenBatch(const TreeShapBatchExplanation& e) {
 
 TEST(ParallelExplain, TreeShapBatchIsThreadCountInvariant) {
   Dataset data = CreditGen().Generate(350, 511);
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Fit(data).ok());
   RandomForest forest;
   RandomForestOptions fopts;
   fopts.num_trees = 10;
   ASSERT_TRUE(forest.Fit(data, fopts).ok());
-  GradientBoostedTrees gbm;
-  GbmOptions gopts;
-  gopts.num_rounds = 15;
-  ASSERT_TRUE(gbm.Fit(data, gopts).ok());
   std::vector<size_t> keep;
   for (size_t i = 0; i < 25; ++i) keep.push_back(i);
   const Matrix background = data.Subset(keep).x();
   ExpectSameAcrossThreadCounts<Vector>(
       [&] {
-        Vector out = FlattenBatch(TreeShapBatch(forest, data.x()));
-        const Vector margin =
-            FlattenBatch(TreeShapBatchMargin(gbm, data.x()));
+        Vector out = FlattenBatch(
+            InterventionalTreeShapBatch(tree, background, data.x()));
         const Vector iv = FlattenBatch(
             InterventionalTreeShapBatch(forest, background, data.x()));
-        out.insert(out.end(), margin.begin(), margin.end());
         out.insert(out.end(), iv.begin(), iv.end());
         return out;
       },

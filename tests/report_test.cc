@@ -52,6 +52,13 @@ std::string VerdictLine(const std::string& report) {
   return report.substr(at, report.find('\n', at) - at);
 }
 
+/// The report's metrics-table row for `metric`, without its newline.
+std::string MetricRow(const std::string& report, const std::string& metric) {
+  const size_t at = report.find("| " + metric + " ");
+  if (at == std::string::npos) return "";
+  return report.substr(at, report.find('\n', at) - at);
+}
+
 /// Predicts favorable exactly for rows whose protected column is set.
 class FavorsProtectedColumn final : public Model {
  public:
@@ -103,11 +110,13 @@ TEST(AuditReport, VerdictIsSymmetricInGroupCoding) {
 TEST(AuditReport, VerdictIsUndefinedWhenNoGroupIsFavored) {
   Dataset data = CreditGen().Generate(300, 804);
   AlwaysDeny model;
-  const std::string verdict =
-      VerdictLine(WriteAuditReport(model, data, GroupSectionsOnly()));
-  EXPECT_EQ(verdict,
+  const std::string report = WriteAuditReport(model, data, GroupSectionsOnly());
+  EXPECT_EQ(VerdictLine(report),
             "Verdict: disparate impact undefined (no group receives "
             "favorable outcomes).");
+  // The table above the verdict must not print the 1.0 sentinel.
+  EXPECT_EQ(MetricRow(report, "disparate_impact_ratio"),
+            "| disparate_impact_ratio  | undefined |");
 }
 
 TEST(AuditReport, VerdictFailsWhenOnlyTheProtectedGroupIsFavored) {
@@ -119,11 +128,15 @@ TEST(AuditReport, VerdictFailsWhenOnlyTheProtectedGroupIsFavored) {
   const GroupFairnessReport group = EvaluateGroupFairness(model, data);
   ASSERT_EQ(group.non_protected_group.positive_rate(), 0.0);
   ASSERT_GT(group.protected_group.positive_rate(), 0.0);
-  const std::string verdict =
-      VerdictLine(WriteAuditReport(model, data, GroupSectionsOnly()));
-  EXPECT_EQ(verdict,
+  EXPECT_FALSE(group.disparate_impact_defined);
+  const std::string report = WriteAuditReport(model, data, GroupSectionsOnly());
+  EXPECT_EQ(VerdictLine(report),
             "Verdict: disparate impact 0.000 FAILS the 80% rule "
             "(disadvantaged group: G-).");
+  // The signed ratio rate(G+)/rate(G-) has no denominator: the table
+  // says so instead of printing the 1.0 sentinel above a failing verdict.
+  EXPECT_EQ(MetricRow(report, "disparate_impact_ratio"),
+            "| disparate_impact_ratio  | undefined |");
 }
 
 TEST(UmbrellaHeader, ExposesEveryLayer) {

@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/data/generators.h"
+#include "src/model/gbm.h"
 #include "src/model/knn.h"
 #include "src/model/logistic_regression.h"
 #include "src/obs/obs.h"
@@ -29,22 +29,7 @@ constexpr double kTol = 1e-9;
 
 /// The masking game ShapExplainInstance evaluates — the reference for the
 /// interventional algorithm.
-CoalitionValue MaskingGame(const Model& model, const Matrix& background,
-                           const Vector& x) {
-  return [&model, &background, x](const std::vector<bool>& mask) {
-    Matrix z(background.rows(), x.size());
-    for (size_t b = 0; b < background.rows(); ++b) {
-      const double* row = background.RowPtr(b);
-      double* out = z.RowPtr(b);
-      for (size_t c = 0; c < x.size(); ++c)
-        out[c] = mask[c] ? x[c] : row[c];
-    }
-    const Vector proba = model.PredictProbaBatch(z);
-    double acc = 0.0;
-    for (double p : proba) acc += p;
-    return acc / static_cast<double>(background.rows());
-  };
-}
+using oracles::MaskingGame;
 
 void ExpectNearVector(const Vector& a, const Vector& b, double tol) {
   ASSERT_EQ(a.size(), b.size());
@@ -58,6 +43,16 @@ double Total(const Vector& v) {
   return acc;
 }
 
+#ifndef XFAIR_OBS_DISABLED
+/// Reads one obs counter by name (0 if it never ticked).
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& c : obs::SnapshotCounters()) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+#endif  // XFAIR_OBS_DISABLED
+
 class TreeShapTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -68,55 +63,6 @@ class TreeShapTest : public ::testing::Test {
   Dataset data_;
   std::vector<size_t> instances_;
 };
-
-TEST_F(TreeShapTest, PathDependentMatchesExactShapleyOnTree) {
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Fit(data_).ok());
-  for (size_t i : instances_) {
-    const Vector x = data_.instance(i);
-    const TreeShapExplanation fast = PathDependentTreeShap(tree, x);
-    const CoalitionValue game = PathDependentGame(tree, x);
-    const Vector exact = ExactShapley(game, x.size());
-    ExpectNearVector(fast.phi, exact, kTol);
-    // Efficiency: base + sum(phi) = v(full) = f(x); base = v(empty).
-    EXPECT_NEAR(fast.base_value + Total(fast.phi), tree.PredictProba(x),
-                kTol);
-    EXPECT_NEAR(fast.base_value, game(std::vector<bool>(x.size(), false)),
-                kTol);
-  }
-}
-
-TEST_F(TreeShapTest, PathDependentMatchesExactShapleyOnForest) {
-  RandomForest forest;
-  RandomForestOptions opts;
-  opts.num_trees = 12;
-  ASSERT_TRUE(forest.Fit(data_, opts).ok());
-  for (size_t i : instances_) {
-    const Vector x = data_.instance(i);
-    const TreeShapExplanation fast = PathDependentTreeShap(forest, x);
-    const Vector exact = ExactShapley(PathDependentGame(forest, x), x.size());
-    ExpectNearVector(fast.phi, exact, kTol);
-    EXPECT_NEAR(fast.base_value + Total(fast.phi), forest.PredictProba(x),
-                kTol);
-  }
-}
-
-TEST_F(TreeShapTest, PathDependentMarginMatchesExactShapleyOnGbm) {
-  GradientBoostedTrees gbm;
-  GbmOptions opts;
-  opts.num_rounds = 25;
-  ASSERT_TRUE(gbm.Fit(data_, opts).ok());
-  for (size_t i : instances_) {
-    const Vector x = data_.instance(i);
-    const TreeShapExplanation fast = PathDependentTreeShapMargin(gbm, x);
-    const CoalitionValue game = PathDependentGameMargin(gbm, x);
-    const Vector exact = ExactShapley(game, x.size());
-    ExpectNearVector(fast.phi, exact, kTol);
-    // The full-coalition margin must sigmoid to the model probability.
-    const double margin = fast.base_value + Total(fast.phi);
-    EXPECT_NEAR(1.0 / (1.0 + std::exp(-margin)), gbm.PredictProba(x), kTol);
-  }
-}
 
 TEST_F(TreeShapTest, InterventionalMatchesExactShapleyOnTree) {
   DecisionTree tree;
@@ -158,7 +104,132 @@ TEST_F(TreeShapTest, InterventionalMatchesExactShapleyOnForest) {
   }
 }
 
+TEST_F(TreeShapTest, DecisionTreeIsTheOneTreeForestBitForBit) {
+  // Both overloads run one engine over a ShapModel; a tree's model is the
+  // one-tree forest's, so the two must agree at 0 ulp, not merely closely.
+  RandomForest forest;
+  RandomForestOptions opts;
+  opts.num_trees = 1;
+  ASSERT_TRUE(forest.Fit(data_, opts).ok());
+  ASSERT_EQ(forest.trees().size(), 1u);
+  const DecisionTree& tree = forest.trees()[0];
+  Matrix background(30, data_.num_features());
+  for (size_t b = 0; b < background.rows(); ++b)
+    background.SetRow(b, data_.instance(4 * b + 1));
+  for (size_t i : instances_) {
+    const Vector x = data_.instance(i);
+    const TreeShapExplanation t = InterventionalTreeShap(tree, background, x);
+    const TreeShapExplanation f =
+        InterventionalTreeShap(forest, background, x);
+    EXPECT_EQ(t.base_value, f.base_value) << "instance " << i;
+    ASSERT_EQ(t.phi.size(), f.phi.size());
+    for (size_t c = 0; c < t.phi.size(); ++c)
+      EXPECT_EQ(t.phi[c], f.phi[c]) << "instance " << i << " f " << c;
+  }
+  Matrix xs(50, data_.num_features());
+  for (size_t i = 0; i < xs.rows(); ++i) xs.SetRow(i, data_.instance(200 + i));
+  const TreeShapBatchExplanation tb =
+      InterventionalTreeShapBatch(tree, background, xs);
+  const TreeShapBatchExplanation fb =
+      InterventionalTreeShapBatch(forest, background, xs);
+  for (size_t i = 0; i < xs.rows(); ++i) {
+    EXPECT_EQ(tb.base_values[i], fb.base_values[i]) << "row " << i;
+    for (size_t c = 0; c < xs.cols(); ++c)
+      EXPECT_EQ(tb.phi.At(i, c), fb.phi.At(i, c)) << "row " << i << " f " << c;
+  }
+}
+
+TEST_F(TreeShapTest, FeaturesOffEveryPathGetExactlyZero) {
+  // Shapley's dummy axiom: a feature no split reads cannot change any
+  // coalition's value, so its attribution is exactly 0.0 (no walk ever
+  // touches its slot), per instance and batched.
+  DecisionTreeOptions topts;
+  topts.max_depth = 2;
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Fit(data_, topts).ok());
+  RandomForestOptions fopts;
+  fopts.num_trees = 3;
+  fopts.max_depth = 1;
+  RandomForest forest;
+  ASSERT_TRUE(forest.Fit(data_, fopts).ok());
+  const size_t d = data_.num_features();
+  std::vector<bool> tree_reads(d, false), forest_reads(d, false);
+  for (const TreeNode& n : tree.nodes())
+    if (n.feature >= 0) tree_reads[static_cast<size_t>(n.feature)] = true;
+  for (const DecisionTree& t : forest.trees())
+    for (const TreeNode& n : t.nodes())
+      if (n.feature >= 0) forest_reads[static_cast<size_t>(n.feature)] = true;
+  ASSERT_LT(std::count(tree_reads.begin(), tree_reads.end(), true),
+            static_cast<long>(d));
+  ASSERT_LT(std::count(forest_reads.begin(), forest_reads.end(), true),
+            static_cast<long>(d));
+  Matrix background(20, d);
+  for (size_t b = 0; b < background.rows(); ++b)
+    background.SetRow(b, data_.instance(3 * b));
+  Matrix xs(40, d);
+  for (size_t i = 0; i < xs.rows(); ++i) xs.SetRow(i, data_.instance(300 + i));
+  const TreeShapBatchExplanation tb =
+      InterventionalTreeShapBatch(tree, background, xs);
+  const TreeShapBatchExplanation fb =
+      InterventionalTreeShapBatch(forest, background, xs);
+  for (size_t i = 0; i < xs.rows(); ++i) {
+    const Vector t = InterventionalTreeShap(tree, background, xs.Row(i)).phi;
+    const Vector f =
+        InterventionalTreeShap(forest, background, xs.Row(i)).phi;
+    for (size_t c = 0; c < d; ++c) {
+      if (!tree_reads[c]) {
+        EXPECT_EQ(t[c], 0.0) << "tree row " << i << " f " << c;
+        EXPECT_EQ(tb.phi.At(i, c), 0.0) << "tree row " << i << " f " << c;
+      }
+      if (!forest_reads[c]) {
+        EXPECT_EQ(f[c], 0.0) << "forest row " << i << " f " << c;
+        EXPECT_EQ(fb.phi.At(i, c), 0.0) << "forest row " << i << " f " << c;
+      }
+    }
+  }
+}
+
+TEST_F(TreeShapTest, OneBackgroundRowGameIsAntisymmetric) {
+  // With one background row z, v_{x,z}(S) = f(x_S, z_~S) = v_{z,x}(~S),
+  // so swapping the explained row and the background row negates every
+  // attribution, and the base value is f(z). Explaining z against itself
+  // leaves every feature at exactly 0.
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Fit(data_).ok());
+  RandomForest forest;
+  RandomForestOptions opts;
+  opts.num_trees = 6;
+  ASSERT_TRUE(forest.Fit(data_, opts).ok());
+  const auto expect_antisymmetric = [&](const auto& model) {
+    const auto explain = [&](const Vector& x, const Vector& z) {
+      Matrix background(1, z.size());
+      background.SetRow(0, z);
+      return InterventionalTreeShap(model, background, x);
+    };
+    for (size_t i : instances_) {
+      const Vector x = data_.instance(i);
+      const Vector z = data_.instance(i + 250);
+      const TreeShapExplanation xz = explain(x, z);
+      const TreeShapExplanation zx = explain(z, x);
+      EXPECT_NEAR(xz.base_value, model.PredictProba(z), kTol);
+      EXPECT_NEAR(zx.base_value, model.PredictProba(x), kTol);
+      for (size_t c = 0; c < x.size(); ++c)
+        EXPECT_NEAR(xz.phi[c], -zx.phi[c], kTol)
+            << model.name() << " instance " << i << " f " << c;
+      const TreeShapExplanation zz = explain(z, z);
+      EXPECT_NEAR(zz.base_value, model.PredictProba(z), kTol);
+      for (size_t c = 0; c < z.size(); ++c)
+        EXPECT_EQ(zz.phi[c], 0.0)
+            << model.name() << " instance " << i << " f " << c;
+    }
+  };
+  expect_antisymmetric(tree);
+  expect_antisymmetric(forest);
+}
+
 TEST_F(TreeShapTest, ShapExplainInstanceDispatchesTreesToTreeShap) {
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Fit(data_).ok());
   RandomForest forest;
   RandomForestOptions opts;
   opts.num_trees = 8;
@@ -176,6 +247,23 @@ TEST_F(TreeShapTest, ShapExplainInstanceDispatchesTreesToTreeShap) {
   ASSERT_EQ(via_dispatch.size(), direct.phi.size());
   for (size_t c = 0; c < via_dispatch.size(); ++c)
     EXPECT_EQ(via_dispatch[c], direct.phi[c]);
+  // ShapExplainBatch, the serving route, equals the per-instance route
+  // row for row at 0 ulp on both tree models.
+  Matrix xs(60, data_.num_features());
+  for (size_t i = 0; i < xs.rows(); ++i) xs.SetRow(i, data_.instance(100 + i));
+  const Model* models[] = {&tree, &forest};
+  for (const Model* model : models) {
+    const Matrix batch = ShapExplainBatch(*model, background, xs, 50, &rng);
+    ASSERT_EQ(batch.rows(), xs.rows());
+    ASSERT_EQ(batch.cols(), xs.cols());
+    for (size_t i = 0; i < xs.rows(); ++i) {
+      const Vector one =
+          ShapExplainInstance(*model, background, xs.Row(i), 50, &rng);
+      for (size_t c = 0; c < xs.cols(); ++c)
+        EXPECT_EQ(batch.At(i, c), one[c])
+            << model->name() << " row " << i << " f " << c;
+    }
+  }
 }
 
 TEST_F(TreeShapTest, FairnessShapTreeFastPathMatchesGenericEngine) {
@@ -198,65 +286,51 @@ TEST_F(TreeShapTest, FairnessShapTreeFastPathMatchesGenericEngine) {
               kTol);
 }
 
-// --- Batched engine ---------------------------------------------------
-//
-// The batch entry points promise bit-identity with the per-instance
-// walkers, not closeness: every comparison below is EXPECT_EQ (0 ulp).
-
-TEST_F(TreeShapTest, BatchMatchesPerInstanceBitForBitOnTree) {
-  // 1300 rows so the batch spans a full 1024-instance tile plus a ragged
-  // tail tile.
-  const Dataset wide = CreditGen().Generate(1300, 72);
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Fit(wide).ok());
-  const TreeShapBatchExplanation batch = TreeShapBatch(tree, wide.x());
-  ASSERT_EQ(batch.phi.rows(), wide.size());
-  ASSERT_EQ(batch.phi.cols(), wide.num_features());
-  for (size_t i = 0; i < wide.size(); ++i) {
-    const TreeShapExplanation one =
-        PathDependentTreeShap(tree, wide.instance(i));
-    EXPECT_EQ(batch.base_values[i], one.base_value) << "row " << i;
-    for (size_t c = 0; c < wide.num_features(); ++c)
-      EXPECT_EQ(batch.phi.At(i, c), one.phi[c]) << "row " << i << " f " << c;
-  }
-  // Warm arenas and caches must not change a single bit.
-  const TreeShapBatchExplanation again = TreeShapBatch(tree, wide.x());
-  for (size_t i = 0; i < wide.size(); ++i) {
-    EXPECT_EQ(again.base_values[i], batch.base_values[i]);
-    for (size_t c = 0; c < wide.num_features(); ++c)
-      EXPECT_EQ(again.phi.At(i, c), batch.phi.At(i, c));
-  }
-}
-
-TEST_F(TreeShapTest, BatchMatchesPerInstanceBitForBitOnForest) {
-  RandomForest forest;
-  RandomForestOptions opts;
-  opts.num_trees = 11;
-  ASSERT_TRUE(forest.Fit(data_, opts).ok());
-  const TreeShapBatchExplanation batch = TreeShapBatch(forest, data_.x());
-  for (size_t i = 0; i < data_.size(); ++i) {
-    const TreeShapExplanation one =
-        PathDependentTreeShap(forest, data_.instance(i));
-    EXPECT_EQ(batch.base_values[i], one.base_value) << "row " << i;
-    for (size_t c = 0; c < data_.num_features(); ++c)
-      EXPECT_EQ(batch.phi.At(i, c), one.phi[c]) << "row " << i << " f " << c;
-  }
-}
-
-TEST_F(TreeShapTest, BatchMarginMatchesPerInstanceBitForBitOnGbm) {
+TEST_F(TreeShapTest, GbmStaysOnTheGenericMaskingEngine) {
+  // sigmoid(sum of trees) does not factor over paths, so GBMs are not
+  // routed to TreeSHAP: ShapExplainInstance and ShapExplainBatch solve the
+  // same masking game by coalition enumeration (d = 8 <= 10).
   GradientBoostedTrees gbm;
   GbmOptions opts;
-  opts.num_rounds = 20;
+  opts.num_rounds = 15;
   ASSERT_TRUE(gbm.Fit(data_, opts).ok());
-  const TreeShapBatchExplanation batch = TreeShapBatchMargin(gbm, data_.x());
-  for (size_t i = 0; i < data_.size(); ++i) {
-    const TreeShapExplanation one =
-        PathDependentTreeShapMargin(gbm, data_.instance(i));
-    EXPECT_EQ(batch.base_values[i], one.base_value) << "row " << i;
-    for (size_t c = 0; c < data_.num_features(); ++c)
-      EXPECT_EQ(batch.phi.At(i, c), one.phi[c]) << "row " << i << " f " << c;
+  std::vector<size_t> keep;
+  for (size_t i = 0; i < 10; ++i) keep.push_back(6 * i);
+  const Dataset background = data_.Subset(keep);
+  Matrix xs(2, data_.num_features());
+  xs.SetRow(0, data_.instance(instances_[0]));
+  xs.SetRow(1, data_.instance(instances_[1]));
+#ifndef XFAIR_OBS_DISABLED
+  const uint64_t iv_calls = CounterValue("tree_shap/interventional_calls");
+  const uint64_t batch_calls = CounterValue("tree_shap/batch_calls");
+#endif
+  Rng rng(17);
+  const Matrix batch = ShapExplainBatch(gbm, background, xs, 50, &rng);
+  ASSERT_EQ(batch.rows(), xs.rows());
+  ASSERT_EQ(batch.cols(), xs.cols());
+  double base = 0.0;
+  for (size_t b = 0; b < background.size(); ++b)
+    base += gbm.PredictProba(background.instance(b));
+  base /= static_cast<double>(background.size());
+  for (size_t i = 0; i < xs.rows(); ++i) {
+    const Vector x = xs.Row(i);
+    const Vector phi = ShapExplainInstance(gbm, background, x, 50, &rng);
+    const Vector exact =
+        ExactShapley(MaskingGame(gbm, background.x(), x), x.size());
+    ExpectNearVector(phi, exact, kTol);
+    ExpectNearVector(batch.Row(i), exact, kTol);
+    EXPECT_NEAR(base + Total(phi), gbm.PredictProba(x), kTol);
   }
+#ifndef XFAIR_OBS_DISABLED
+  EXPECT_EQ(CounterValue("tree_shap/interventional_calls"), iv_calls);
+  EXPECT_EQ(CounterValue("tree_shap/batch_calls"), batch_calls);
+#endif
 }
+
+// --- Batched engines --------------------------------------------------
+//
+// The batch entry points promise bit-identity with their per-instance
+// references, not closeness: every comparison below is EXPECT_EQ (0 ulp).
 
 TEST_F(TreeShapTest, InterventionalBatchMatchesPerInstanceBitForBit) {
   DecisionTree tree;
@@ -287,6 +361,55 @@ TEST_F(TreeShapTest, InterventionalBatchMatchesPerInstanceBitForBit) {
       EXPECT_EQ(fb.phi.At(i, c), f1.phi[c]) << "row " << i << " f " << c;
     }
   }
+}
+
+TEST_F(TreeShapTest, BatchIntoReshapesTheCallersBuffers) {
+  // The Into forms reuse the caller's buffers across calls of any shape
+  // and model: each call leaves exactly its own rows, no stale values.
+  DecisionTree tree;
+  RandomForest forest;
+  RandomForestOptions fopts;
+  fopts.num_trees = 5;
+  ASSERT_TRUE(tree.Fit(data_).ok());
+  ASSERT_TRUE(forest.Fit(data_, fopts).ok());
+  const size_t d = data_.num_features();
+  Matrix background(12, d);
+  for (size_t b = 0; b < background.rows(); ++b)
+    background.SetRow(b, data_.instance(7 * b));
+  Matrix wide(90, d), narrow(30, d);
+  for (size_t i = 0; i < wide.rows(); ++i) wide.SetRow(i, data_.instance(i));
+  for (size_t i = 0; i < narrow.rows(); ++i)
+    narrow.SetRow(i, data_.instance(400 + i));
+  Matrix phi;
+  Vector base;
+  InterventionalTreeShapBatchInto(forest, background, wide, &phi, &base);
+  ASSERT_EQ(phi.rows(), wide.rows());
+  ASSERT_EQ(phi.cols(), d);
+  ASSERT_EQ(base.size(), wide.rows());
+  const auto expect_narrow_rows = [&](const auto& model) {
+    ASSERT_EQ(phi.rows(), narrow.rows());
+    ASSERT_EQ(phi.cols(), d);
+    ASSERT_EQ(base.size(), narrow.rows());
+    for (size_t i = 0; i < narrow.rows(); ++i) {
+      const TreeShapExplanation one =
+          InterventionalTreeShap(model, background, narrow.Row(i));
+      EXPECT_EQ(base[i], one.base_value) << model.name() << " row " << i;
+      for (size_t c = 0; c < d; ++c)
+        EXPECT_EQ(phi.At(i, c), one.phi[c])
+            << model.name() << " row " << i << " f " << c;
+    }
+  };
+  // Shrink, then keep the shape but switch the model.
+  InterventionalTreeShapBatchInto(tree, background, narrow, &phi, &base);
+  expect_narrow_rows(tree);
+  InterventionalTreeShapBatchInto(forest, background, narrow, &phi, &base);
+  expect_narrow_rows(forest);
+  // An empty batch leaves empty buffers of the right width.
+  InterventionalTreeShapBatchInto(tree, background, Matrix(0, d), &phi,
+                                  &base);
+  EXPECT_EQ(phi.rows(), 0u);
+  EXPECT_EQ(phi.cols(), d);
+  EXPECT_TRUE(base.empty());
 }
 
 TEST_F(TreeShapTest, ThresholdedSweepMatchesLoopedWalksBitForBit) {
@@ -329,29 +452,28 @@ TEST_F(TreeShapTest, ThresholdedSweepMatchesLoopedWalksBitForBit) {
 }
 
 #ifndef XFAIR_OBS_DISABLED
-/// Reads one obs counter by name (0 if it never ticked).
-uint64_t CounterValue(const std::string& name) {
-  for (const auto& c : obs::SnapshotCounters()) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
 TEST_F(TreeShapTest, BatchSteadyStateGrowsNoArenas) {
   SetParallelThreads(1);  // One worker arena, deterministic accounting.
   RandomForest forest;
   RandomForestOptions opts;
   opts.num_trees = 9;
   ASSERT_TRUE(forest.Fit(data_, opts).ok());
+  Matrix background(20, data_.num_features());
+  for (size_t b = 0; b < background.rows(); ++b)
+    background.SetRow(b, data_.instance(5 * b));
   Matrix phi;
   Vector base;
+  const auto batch = [&] {
+    InterventionalTreeShapBatchInto(forest, background, data_.x(), &phi,
+                                    &base);
+  };
   // Two warmup calls: the first sizes the arena, the second proves the
   // shape converged.
-  TreeShapBatchInto(forest, data_.x(), &phi, &base);
-  TreeShapBatchInto(forest, data_.x(), &phi, &base);
+  batch();
+  batch();
   const uint64_t grows = CounterValue("tree_shap/arena_grows");
   const uint64_t reuses = CounterValue("tree_shap/arena_reuses");
-  TreeShapBatchInto(forest, data_.x(), &phi, &base);
+  batch();
   EXPECT_EQ(CounterValue("tree_shap/arena_grows") - grows, 0u)
       << "steady-state batch call grew an arena";
   EXPECT_GE(CounterValue("tree_shap/arena_reuses") - reuses, 1u);
@@ -390,15 +512,18 @@ TEST_F(TreeShapTest, ThresholdedSweepSteadyStateGrowsNoArenas) {
 TEST_F(TreeShapTest, NodeCacheBuildsOncePerFit) {
   DecisionTree tree;
   ASSERT_TRUE(tree.Fit(data_).ok());
+  Matrix background(3, data_.num_features());
+  for (size_t b = 0; b < background.rows(); ++b)
+    background.SetRow(b, data_.instance(b + 1));
   const uint64_t builds = CounterValue("tree_shap/node_cache_builds");
   for (int r = 0; r < 3; ++r) {
-    (void)PathDependentTreeShap(tree, data_.instance(0));
+    (void)InterventionalTreeShap(tree, background, data_.instance(0));
   }
   EXPECT_EQ(CounterValue("tree_shap/node_cache_builds") - builds, 1u)
       << "same fitted model should convert to ShapNodes exactly once";
   // Refitting invalidates the cached conversion.
   ASSERT_TRUE(tree.Fit(data_).ok());
-  (void)PathDependentTreeShap(tree, data_.instance(0));
+  (void)InterventionalTreeShap(tree, background, data_.instance(0));
   EXPECT_EQ(CounterValue("tree_shap/node_cache_builds") - builds, 2u);
 }
 #endif  // XFAIR_OBS_DISABLED
