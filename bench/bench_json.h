@@ -123,14 +123,22 @@ inline void WriteBenchJson(const std::string& name, double baseline_ms,
 ///   "batch_ms"               batch wall time (the noise floor gates use),
 ///   "batch_items"            items per call.
 ///
+/// When `reference` (the slow route the looped one replaced) is given, it
+/// is timed the same way and two more fields are added:
+///
+///   "looped_algo_speedup"    reference_ms / looped_ms,
+///   "looped_ms"              looped wall time (that ratio's noise floor).
+///
 /// Restores the pool to its environment default before returning.
-inline obs::Json MeasureThroughputExtra(const char* unit, size_t items,
-                                        const std::function<void()>& batch,
-                                        const std::function<void()>& looped,
-                                        int repeats = 3) {
+inline obs::Json MeasureThroughputExtra(
+    const char* unit, size_t items, const std::function<void()>& batch,
+    const std::function<void()>& looped, int repeats = 3,
+    const std::function<void()>& reference = nullptr) {
   SetParallelThreads(1);
   const double batch_ms = bench_json_internal::TimeMs(batch, repeats);
   const double looped_ms = bench_json_internal::TimeMs(looped, repeats);
+  const double reference_ms =
+      reference ? bench_json_internal::TimeMs(reference, repeats) : 0.0;
   SetParallelThreads(0);
   const double n = static_cast<double>(items);
   const double per_sec = batch_ms > 0.0 ? n * 1000.0 / batch_ms : 0.0;
@@ -141,12 +149,22 @@ inline obs::Json MeasureThroughputExtra(const char* unit, size_t items,
               "(%.0f/s) -> batch %.2fx\n",
               items, unit, batch_ms, per_sec, looped_ms, per_sec_looped,
               batch_speedup);
-  return {{std::string(unit) + "_per_sec", obs::Json::Fixed(per_sec, 1)},
-          {std::string(unit) + "_per_sec_looped",
-           obs::Json::Fixed(per_sec_looped, 1)},
-          {"batch_speedup", obs::Json::Fixed(batch_speedup, 3)},
-          {"batch_ms", bench_json_internal::Ms(batch_ms)},
-          {"batch_items", items}};
+  obs::Json doc = {
+      {std::string(unit) + "_per_sec", obs::Json::Fixed(per_sec, 1)},
+      {std::string(unit) + "_per_sec_looped",
+       obs::Json::Fixed(per_sec_looped, 1)},
+      {"batch_speedup", obs::Json::Fixed(batch_speedup, 3)},
+      {"batch_ms", bench_json_internal::Ms(batch_ms)},
+      {"batch_items", items}};
+  if (reference) {
+    const double looped_speedup =
+        looped_ms > 0.0 ? reference_ms / looped_ms : 0.0;
+    std::printf("[bench_json] reference %.2f ms -> looped %.2fx\n",
+                reference_ms, looped_speedup);
+    doc["looped_algo_speedup"] = obs::Json::Fixed(looped_speedup, 3);
+    doc["looped_ms"] = bench_json_internal::Ms(looped_ms);
+  }
+  return doc;
 }
 
 /// Times `baseline` and `optimized` with the pool pinned to one worker —

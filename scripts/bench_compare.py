@@ -8,9 +8,9 @@ For every BENCH_<name>.json present in both directories, compares
 
   * optimized_ms  — regression when current > baseline * (1 + threshold)
   * algo_speedup  — regression when current < baseline * (1 - threshold)
-  * batch_speedup and every *_per_sec throughput field (e.g.
-    explanations_per_sec, audit_rows_per_sec) — higher is better, same
-    threshold
+  * looped_algo_speedup, batch_speedup and every *_per_sec throughput
+    field (e.g. explanations_per_sec, audit_rows_per_sec) — higher is
+    better, same threshold
 
 and exits nonzero if any comparison regresses by more than the threshold
 (default 15%). Additionally, every top-level *_overhead_pct field in the
@@ -24,7 +24,8 @@ the scheduler owns more of the measurement than the algorithm does. For
 throughput fields the noise floor is the baseline's batch_ms (the wall
 time the rate was derived from; optimized_ms when the artifact has no
 batch_ms), and algo_speedup's floor is the baseline's optimized_ms —
-the fast side of that ratio, which is where its noise lives. Those rows
+the fast side of that ratio, which is where its noise lives;
+looped_algo_speedup's is likewise the baseline's looped_ms. Those rows
 print as "not gated (baseline X ms < floor)" instead of "ok", and each
 artifact's block ends with its number of gated fields. Benches present
 on only one side are reported but do not fail the gate.
@@ -88,25 +89,30 @@ def main():
             bad = c_ms > b_ms * (1.0 + frac) and noise is None
             rows.append(("optimized_ms", b_ms, c_ms, delta, bad, noise))
 
-        # Higher-is-better fields: the algorithmic-speedup ratio, the
-        # batch-vs-looped ratio, and any throughput rate. Throughput
-        # rates inherit the --min-ms noise floor through the batch wall
-        # time they were derived from (falling back to the optimized
-        # wall time when the artifact carries no batch_ms).
+        # Higher-is-better fields: the algorithmic-speedup ratios of the
+        # batch and of the looped route, the batch-vs-looped ratio, and
+        # any throughput rate. Throughput rates inherit the --min-ms
+        # noise floor through the batch wall time they were derived from
+        # (falling back to the optimized wall time when the artifact
+        # carries no batch_ms).
         batch_ms = base.get("batch_ms")
         if batch_ms is None:
             batch_ms = base.get("optimized_ms")
         # algo_speedup's noise scale is the optimized wall time the
         # ratio was derived from (the baseline side is orders of
         # magnitude slower, so its noise is negligible in the ratio).
-        higher_is_better = ["algo_speedup", "batch_speedup"] + sorted(
+        # looped_algo_speedup's is the looped wall time, likewise.
+        scales = {"algo_speedup": b_ms,
+                  "looped_algo_speedup": base.get("looped_ms")}
+        higher_is_better = ["algo_speedup", "looped_algo_speedup",
+                            "batch_speedup"] + sorted(
             k for k in base if isinstance(k, str) and k.endswith("_per_sec"))
         for field in higher_is_better:
             b_sp, c_sp = base.get(field), cur.get(field)
             if b_sp is None or c_sp is None or b_sp <= 0:
                 continue
             delta = 100.0 * (c_sp / b_sp - 1.0)
-            scale = b_ms if field == "algo_speedup" else batch_ms
+            scale = scales.get(field, batch_ms)
             noisy = scale is not None and scale < args.min_ms
             noise = scale if noisy else None
             bad = c_sp < b_sp * (1.0 - frac) and noise is None

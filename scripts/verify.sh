@@ -6,8 +6,9 @@
 # XFAIR_SIMD=OFF build of the kernel layer, an XFAIR_OBS=0 compile
 # check under -Werror (spans/counters compiled to no-ops), and a Release
 # run of the kernel, fairness-SHAP, gopher and tree-fit benches gated
-# against the committed BENCH_*.json (35% threshold, 8 ms noise floor, up
-# to three attempts). With --bench, additionally regenerates all
+# against the committed BENCH_*.json (tree_shap, flat_tree, obs_overhead,
+# fairness_shap, gopher, tree_fit; 35% threshold, 8 ms noise floor, up to
+# three attempts). With --bench, additionally regenerates all
 # BENCH_*.json artifacts via scripts/bench.sh (Release build; slower)
 # and gates them at bench_compare.py's defaults (15%, 1 ms floor).
 set -euo pipefail
@@ -123,17 +124,22 @@ echo "== bench-regression gate smoke (committed artifacts vs themselves) =="
 python3 scripts/bench_compare.py . .
 
 echo
-echo "== tree_shap + fairness_shap + gopher + tree_fit + obs-overhead benches (Release) =="
+echo "== tree_shap + flat_tree + fairness_shap + gopher + tree_fit + obs-overhead benches (Release) =="
 # Runs the kernel bench, the fairness-SHAP bench, the gopher
 # slice-discovery bench and the presorted GBM fit bench (tree_fit:
 # GradientBoostedTrees::Fit vs the sort-per-node oracle) in a scratch dir
 # so the committed BENCH_*.json stay untouched, and gates optimized_ms
-# and the throughput fields (explanations_per_sec,
-# audit_rows_per_sec, candidates_per_sec, batch_speedup, algo_speedup)
-# against the committed artifacts through bench_compare.py
+# and the throughput fields (explanations_per_sec, rows_per_sec,
+# audit_rows_per_sec, candidates_per_sec, batch_speedup, algo_speedup,
+# looped_algo_speedup) against the committed artifacts through
+# bench_compare.py
 # (higher-is-better fields, 35% threshold, 8 ms --min-ms noise floor on
 # the wall time each field derives from; fields under it print as "not
-# gated"). The same run gates the always-on sink cost: the
+# gated"). BENCH_flat_tree.json's algo_speedup (the pointer walk over the
+# packed tree scorer's batch, both timed in the same run) is what falls
+# when PredictProbaBatch stops taking the packed path, and its
+# looped_algo_speedup (the walk over the per-row PredictProba loop) when
+# the per-row route does. The same run gates the always-on sink cost: the
 # top-level *_overhead_pct fields in BENCH_obs_overhead.json must stay
 # within bench_compare.py's absolute --max-overhead-pct budget (2%).
 # Each bench is filtered to one cheap benchmark: the JSON artifacts are
@@ -143,8 +149,9 @@ cmake --build build-release -j "$(nproc)" --target bench_kernels \
   bench_fairness_shap bench_gopher bench_tree_fit
 baseline_one=build-release/bench-committed
 rm -rf "$baseline_one" && mkdir -p "$baseline_one"
-cp BENCH_tree_shap.json BENCH_fairness_shap.json BENCH_gopher.json \
-  BENCH_tree_fit.json BENCH_obs_overhead.json "$baseline_one"/
+cp BENCH_tree_shap.json BENCH_flat_tree.json BENCH_fairness_shap.json \
+  BENCH_gopher.json BENCH_tree_fit.json BENCH_obs_overhead.json \
+  "$baseline_one"/
 # This quick gate exists to catch "the fast path stopped running"
 # regressions, which show up as 2-10x swings — not to re-measure the
 # committed numbers precisely. The host is a shared VM (nproc reports 4

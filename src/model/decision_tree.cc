@@ -2,7 +2,6 @@
 
 #include "src/model/presort.h"
 #include "src/obs/obs.h"
-#include "src/util/parallel.h"
 
 namespace xfair {
 namespace {
@@ -137,36 +136,21 @@ Status DecisionTree::Fit(const Dataset& data,
   CartBuilder builder{*layout, data, weights, options, rng, {}};
   builder.Build(0, layout->size(), 0);
   nodes_ = std::move(builder.nodes);
-  flat_ = FlatTree::FromNodes(nodes_,
-                              [](const TreeNode& n) { return n.proba; });
+  packed_ = PackedForest();
+  packed_.Add(nodes_, &TreeNode::proba);
   fit_id_ = NextModelFitId();
   return Status::OK();
 }
 
 double DecisionTree::PredictProba(const Vector& x) const {
-  return nodes_[static_cast<size_t>(LeafIndex(x))].proba;
-}
-
-double DecisionTree::PredictProbaRow(const double* row, size_t dim) const {
   XFAIR_CHECK_MSG(fitted(), "model not fitted");
-  XFAIR_CHECK(flat_.max_feature() < static_cast<int>(dim));
-  return flat_.PredictRow(row);
+  return packed_.Score(x.data(), x.size());
 }
 
 Vector DecisionTree::PredictProbaBatch(const Matrix& x) const {
   XFAIR_CHECK_MSG(fitted(), "model not fitted");
-  XFAIR_CHECK(flat_.max_feature() < static_cast<int>(x.cols()));
   XFAIR_LATENCY_NS("latency/predict_batch/decision_tree");
-  Vector out(x.rows());
-  // Chunk-granular dispatch: each out[i] is an independent pure function
-  // of row i (no reduction), so chunking is thread-count invariant, and
-  // the tight inner loop avoids a per-row std::function call that costs
-  // more than the tree walk itself.
-  ParallelForChunks(0, x.rows(), [&](const ChunkRange& chunk) {
-    for (size_t i = chunk.begin; i < chunk.end; ++i) {
-      out[i] = flat_.PredictRow(x.RowPtr(i));
-    }
-  });
+  Vector out = packed_.ScoreBatch(x);
   XFAIR_MONITOR_PREDICTIONS(out.data(), out.size(), threshold_);
   return out;
 }

@@ -5,8 +5,8 @@
 #ifndef XFAIR_MODEL_DECISION_TREE_H_
 #define XFAIR_MODEL_DECISION_TREE_H_
 
-#include "src/model/flat_tree.h"
 #include "src/model/model.h"
+#include "src/model/packed_forest.h"
 #include "src/util/status.h"
 
 namespace xfair {
@@ -49,19 +49,13 @@ class DecisionTree final : public Model {
   /// Lets explainer caches detect refits; see NextModelFitId.
   uint64_t fit_id() const { return fit_id_; }
   const std::vector<TreeNode>& nodes() const { return nodes_; }
-  /// Branchless structure-of-arrays copy of the fitted tree, rebuilt at
-  /// the end of Fit. All batched prediction routes through it.
-  const FlatTree& flat() const { return flat_; }
   /// Index of the leaf that `x` routes to.
   int LeafIndex(const Vector& x) const;
-  /// Leaf probability for a raw row of `dim` features (no Vector copy);
-  /// the building block of batched ensemble prediction. Uses the flat
-  /// branchless layout.
-  double PredictProbaRow(const double* row, size_t dim) const;
 
  private:
   std::vector<TreeNode> nodes_;
-  FlatTree flat_;
+  /// The tree packed for scoring, rebuilt at the end of Fit.
+  PackedForest packed_;
   uint64_t fit_id_ = 0;
 };
 

@@ -5,7 +5,6 @@
 
 #include "src/model/presort.h"
 #include "src/obs/obs.h"
-#include "src/util/parallel.h"
 
 namespace xfair {
 namespace {
@@ -92,16 +91,6 @@ struct TreeBuilder {
   }
 };
 
-double TreeValue(const std::vector<GbmNode>& nodes, const double* x) {
-  int id = 0;
-  for (;;) {
-    const GbmNode& n = nodes[static_cast<size_t>(id)];
-    if (n.feature < 0) return n.value;
-    id = x[static_cast<size_t>(n.feature)] <= n.threshold ? n.left
-                                                          : n.right;
-  }
-}
-
 }  // namespace
 
 Status GradientBoostedTrees::Fit(const Dataset& data,
@@ -143,46 +132,30 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
     layout->Reset();
     TreeBuilder builder{*layout, residuals, hessians, options, {}};
     builder.Build(0, n, 0);
+    PackedForest step;
+    step.Add(builder.nodes, &GbmNode::value);
     for (size_t i = 0; i < n; ++i) {
-      margins[i] +=
-          learning_rate_ * TreeValue(builder.nodes, data.x().RowPtr(i));
+      margins[i] += learning_rate_ * step.Score(data.x().RowPtr(i),
+                                                data.num_features());
     }
     trees_.push_back(std::move(builder.nodes));
   }
-  flat_.Clear();
-  for (const auto& tree : trees_) {
-    flat_.Add(
-        FlatTree::FromNodes(tree, [](const GbmNode& n) { return n.value; }));
-  }
+  packed_ = PackedForest(bias_, learning_rate_);
+  for (const auto& tree : trees_) packed_.Add(tree, &GbmNode::value);
   fitted_ = true;
   fit_id_ = NextModelFitId();
   return Status::OK();
 }
 
-double GradientBoostedTrees::Margin(const Vector& x) const {
-  return MarginRow(x.data());
-}
-
-double GradientBoostedTrees::MarginRow(const double* row) const {
-  double m = bias_;
-  for (const auto& tree : trees_) m += learning_rate_ * TreeValue(tree, row);
-  return m;
-}
-
 double GradientBoostedTrees::PredictProba(const Vector& x) const {
   XFAIR_CHECK_MSG(fitted_, "model not fitted");
-  return Sigmoid(Margin(x));
+  return Sigmoid(packed_.Score(x.data(), x.size()));
 }
 
 Vector GradientBoostedTrees::PredictProbaBatch(const Matrix& x) const {
   XFAIR_CHECK_MSG(fitted_, "model not fitted");
-  XFAIR_CHECK(flat_.max_feature() < static_cast<int>(x.cols()));
   XFAIR_LATENCY_NS("latency/predict_batch/gbm");
-  XFAIR_COUNTER_ADD("flat_tree/batch_rows", x.rows());
-  Vector out(x.rows());
-  ParallelFor(0, x.rows(), [&](size_t i) {
-    out[i] = Sigmoid(flat_.ScaledSumRow(x.RowPtr(i), learning_rate_, bias_));
-  });
+  Vector out = packed_.ScoreBatch(x, Sigmoid);
   XFAIR_MONITOR_PREDICTIONS(out.data(), out.size(), threshold_);
   return out;
 }

@@ -6,8 +6,8 @@
 #ifndef XFAIR_MODEL_GBM_H_
 #define XFAIR_MODEL_GBM_H_
 
-#include "src/model/flat_tree.h"
 #include "src/model/model.h"
+#include "src/model/packed_forest.h"
 #include "src/util/status.h"
 
 namespace xfair {
@@ -51,17 +51,14 @@ class GradientBoostedTrees final : public Model {
   double learning_rate() const { return learning_rate_; }
 
  private:
-  double Margin(const Vector& x) const;
-  double MarginRow(const double* row) const;
-
   bool fitted_ = false;
   uint64_t fit_id_ = 0;
   double bias_ = 0.0;
   double learning_rate_ = 0.2;
   std::vector<std::vector<GbmNode>> trees_;
-  /// Branchless copies of the regression trees; batched margins traverse
-  /// these instead of the node arrays.
-  FlatForest flat_;
+  /// The regression trees packed for scoring (score = margin), rebuilt
+  /// at the end of Fit.
+  PackedForest packed_;
 };
 
 }  // namespace xfair

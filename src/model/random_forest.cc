@@ -46,27 +46,23 @@ Status RandomForest::Fit(const Dataset& data,
     if (!s.ok()) return s;
   }
   trees_ = std::move(trees);
-  flat_.Clear();
-  for (const DecisionTree& tree : trees_) flat_.Add(tree.flat());
+  packed_ = PackedForest(0.0, 1.0, static_cast<double>(trees_.size()));
+  for (const DecisionTree& tree : trees_) {
+    packed_.Add(tree.nodes(), &TreeNode::proba);
+  }
   fit_id_ = NextModelFitId();
   return Status::OK();
 }
 
 double RandomForest::PredictProba(const Vector& x) const {
   XFAIR_CHECK_MSG(fitted(), "model not fitted");
-  double acc = 0.0;
-  for (const auto& tree : trees_) acc += tree.PredictProba(x);
-  return acc / static_cast<double>(trees_.size());
+  return packed_.Score(x.data(), x.size());
 }
 
 Vector RandomForest::PredictProbaBatch(const Matrix& x) const {
   XFAIR_CHECK_MSG(fitted(), "model not fitted");
-  XFAIR_CHECK(flat_.max_feature() < static_cast<int>(x.cols()));
   XFAIR_LATENCY_NS("latency/predict_batch/random_forest");
-  XFAIR_COUNTER_ADD("flat_tree/batch_rows", x.rows());
-  Vector out(x.rows());
-  ParallelFor(0, x.rows(),
-              [&](size_t i) { out[i] = flat_.MeanRow(x.RowPtr(i)); });
+  Vector out = packed_.ScoreBatch(x);
   XFAIR_MONITOR_PREDICTIONS(out.data(), out.size(), threshold_);
   return out;
 }

@@ -38,9 +38,8 @@ class RandomForest final : public Model {
  private:
   std::vector<DecisionTree> trees_;
   uint64_t fit_id_ = 0;
-  /// Concatenated branchless copies of all trees, rebuilt at the end of
-  /// Fit; PredictProbaBatch traverses these instead of the node arrays.
-  FlatForest flat_;
+  /// All trees packed for scoring, rebuilt at the end of Fit.
+  PackedForest packed_;
 };
 
 }  // namespace xfair

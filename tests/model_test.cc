@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "src/data/generators.h"
 #include "src/data/scaler.h"
@@ -177,6 +178,32 @@ TEST(TreeModels, NonFiniteFeaturesRejected) {
     EXPECT_FALSE(lr.fitted());
     EXPECT_FALSE(softmax.fitted());
     EXPECT_FALSE(knn.fitted());
+  }
+}
+
+// Every tree model checks a row's width against its widest split
+// feature once per call, per row and per batch: a short row aborts
+// instead of being read past its end.
+using TreeModelsDeathTest = ::testing::Test;
+
+TEST(TreeModelsDeathTest, ShortRowsAbort) {
+  // The forest fit starts the thread pool; a re-executed child, unlike a
+  // forked one, never inherits its locks.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Dataset credit = CreditGen().Generate(300, 14);
+  DecisionTree tree;
+  RandomForest forest;
+  GradientBoostedTrees gbm;
+  ASSERT_TRUE(tree.Fit(credit).ok());
+  ASSERT_TRUE(forest.Fit(credit).ok());
+  ASSERT_TRUE(gbm.Fit(credit).ok());
+  for (const Model* model :
+       std::initializer_list<const Model*>{&tree, &forest, &gbm}) {
+    SCOPED_TRACE(model->name());
+    EXPECT_DEATH((void)model->PredictProba(Vector(1, 0.0)),
+                 "fewer features than the trees");
+    EXPECT_DEATH((void)model->PredictProbaBatch(Matrix(3, 1)),
+                 "fewer features than the trees");
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/oracles/tree_walk_oracle.h"
 
 namespace xfair::oracles {
 namespace {
@@ -95,16 +96,6 @@ struct TreeBuilder {
     return id;
   }
 };
-
-double TreeValue(const std::vector<GbmNode>& nodes, const double* x) {
-  int id = 0;
-  for (;;) {
-    const GbmNode& n = nodes[static_cast<size_t>(id)];
-    if (n.feature < 0) return n.value;
-    id = x[static_cast<size_t>(n.feature)] <= n.threshold ? n.left
-                                                          : n.right;
-  }
-}
 
 /// Gini impurity of a weighted binary label distribution.
 double Gini(double pos_weight, double total_weight) {
@@ -237,7 +228,8 @@ GbmFit FitGbmSortPerNode(const Dataset& data, const GbmOptions& options) {
     builder.Build(indices, 0);
     for (size_t i = 0; i < n; ++i) {
       margins[i] += options.learning_rate *
-                    TreeValue(builder.nodes, data.x().RowPtr(i));
+                    WalkNodes(builder.nodes, &GbmNode::value,
+                              data.x().RowPtr(i), data.num_features());
     }
     fit.trees.push_back(std::move(builder.nodes));
   }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "src/model/gbm.h"
 #include "src/model/knn.h"
 #include "src/model/logistic_regression.h"
+#include "src/model/packed_forest.h"
 #include "src/model/random_forest.h"
 #include "src/model/softmax_regression.h"
 #include "src/obs/obs.h"
@@ -41,6 +43,7 @@
 #include "tests/facts_testing.h"
 #include "tests/oracles/subgroup_oracle.h"
 #include "tests/oracles/tree_shap_oracle.h"
+#include "tests/oracles/tree_walk_oracle.h"
 
 namespace xfair {
 namespace {
@@ -648,6 +651,32 @@ TEST(ParallelModel, ForestFitIsThreadCountInvariant) {
       });
 }
 
+TEST(ParallelModel, TreeScorerBatchesAreThreadCountInvariant) {
+  // 773 rows: 64 chunks of 12 or 13 rows.
+  Dataset data = CreditGen().Generate(300, 506);
+  Dataset probe = CreditGen().Generate(773, 507);
+  DecisionTree tree;
+  RandomForest forest;
+  RandomForestOptions fopts;
+  fopts.num_trees = 10;
+  GradientBoostedTrees gbm;
+  GbmOptions gopts;
+  gopts.num_rounds = 20;
+  ASSERT_TRUE(tree.Fit(data).ok());
+  ASSERT_TRUE(forest.Fit(data, fopts).ok());
+  ASSERT_TRUE(gbm.Fit(data, gopts).ok());
+  for (const Model* model : std::initializer_list<const Model*>{
+           &tree, &forest, &gbm}) {
+    SCOPED_TRACE(model->name());
+    ExpectSameAcrossThreadCounts<Vector>(
+        [&] { return model->PredictProbaBatch(probe.x()); },
+        [](const Vector& a, const Vector& b) {
+          ASSERT_EQ(a.size(), b.size());
+          for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+        });
+  }
+}
+
 TEST(ParallelExplain, CounterfactualsForRowsAreThreadCountInvariant) {
   BiasConfig cfg;
   cfg.score_shift = 1.0;
@@ -754,8 +783,81 @@ class BatchConsistencyTest : public ::testing::Test {
     }
   }
 
+  /// The data rows, then edge rows for every split of `trees`: a data
+  /// row with the split's feature exactly at its threshold (goes left
+  /// there), then for each feature a data row with it NaN (goes right),
+  /// +inf and -inf, and a row of NaN only.
+  template <typename Tree>
+  Matrix EdgeRows(const std::vector<Tree>& trees) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double nan = std::nan("");
+    std::vector<Vector> rows;
+    for (size_t i = 0; i < data_.size(); ++i) {
+      rows.push_back(data_.instance(i));
+    }
+    const auto base = [&] {
+      return data_.instance(rows.size() % data_.size());
+    };
+    for (const Tree& tree : trees) {
+      for (const auto& node : NodesOf(tree)) {
+        if (node.feature < 0) continue;
+        Vector row = base();
+        row[static_cast<size_t>(node.feature)] = node.threshold;
+        rows.push_back(row);
+      }
+    }
+    for (size_t f = 0; f < data_.num_features(); ++f) {
+      for (double v : {nan, kInf, -kInf}) {
+        Vector row = base();
+        row[f] = v;
+        rows.push_back(row);
+      }
+    }
+    rows.push_back(Vector(data_.num_features(), nan));
+    return Matrix::FromRows(rows);
+  }
+
+  static const std::vector<TreeNode>& NodesOf(const DecisionTree& tree) {
+    return tree.nodes();
+  }
+  static const std::vector<GbmNode>& NodesOf(
+      const std::vector<GbmNode>& tree) {
+    return tree;
+  }
+
+  /// PredictProba and PredictProbaBatch equal the pointer walk bit for
+  /// bit on every row of `rows`, and on batches of 0, 1, 7, 8, 9 and 773
+  /// of them (773: 64 chunks of 12 or 13 rows).
+  template <typename TreeModel>
+  void ExpectScoresMatchWalk(const TreeModel& model, const Matrix& rows) {
+    const auto walk = [&](const Matrix& m, size_t i) {
+      return oracles::WalkProba(model, m.RowPtr(i), m.cols());
+    };
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      EXPECT_EQ(model.PredictProba(rows.Row(i)), walk(rows, i))
+          << model.name() << " row " << i;
+    }
+    for (size_t n : {0, 1, 7, 8, 9, 773}) {
+      Matrix batch(n, rows.cols());
+      for (size_t i = 0; i < n; ++i) batch.SetRow(i, rows.Row(i % rows.rows()));
+      const Vector scores = model.PredictProbaBatch(batch);
+      ASSERT_EQ(scores.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(scores[i], walk(batch, i))
+            << model.name() << " batch of " << n << ", row " << i;
+      }
+    }
+  }
+
   Dataset data_;
 };
+
+/// Longest root-to-leaf path of a fitted tree (0 for a lone leaf).
+size_t TreeDepth(const std::vector<TreeNode>& nodes, int node = 0) {
+  const TreeNode& n = nodes[static_cast<size_t>(node)];
+  if (n.feature < 0) return 0;
+  return 1 + std::max(TreeDepth(nodes, n.left), TreeDepth(nodes, n.right));
+}
 
 TEST_F(BatchConsistencyTest, LogisticRegression) {
   LogisticRegression model;
@@ -783,6 +885,58 @@ TEST_F(BatchConsistencyTest, GradientBoostedTrees) {
   opts.num_rounds = 20;
   ASSERT_TRUE(model.Fit(data_, opts).ok());
   ExpectBatchMatchesRows(model);
+}
+
+TEST_F(BatchConsistencyTest, DecisionTreeMatchesPointerWalk) {
+  DecisionTree model;
+  ASSERT_TRUE(model.Fit(data_).ok());
+  ExpectScoresMatchWalk(model, EdgeRows(std::vector<DecisionTree>{model}));
+}
+
+TEST_F(BatchConsistencyTest, RandomForestMatchesPointerWalk) {
+  // 10 trees: one lockstep group of 8 trees per row, then 2 alone.
+  RandomForest model;
+  RandomForestOptions opts;
+  opts.num_trees = 10;
+  opts.seed = 5;  // Chosen so that the assertion below holds.
+  ASSERT_TRUE(model.Fit(data_, opts).ok());
+  std::vector<size_t> depths;
+  for (const DecisionTree& tree : model.trees()) {
+    depths.push_back(TreeDepth(tree.nodes()));
+  }
+  // The group's first tree is shallower than its deepest, so a group
+  // walked for its first or its shallowest tree's depth stops short.
+  const auto group_end = depths.begin() + PackedForest::kTile;
+  ASSERT_LT(depths[0], *std::max_element(depths.begin(), group_end));
+  ExpectScoresMatchWalk(model, EdgeRows(model.trees()));
+}
+
+TEST_F(BatchConsistencyTest, GradientBoostedTreesMatchesPointerWalk) {
+  GradientBoostedTrees model;
+  GbmOptions opts;
+  opts.num_rounds = 20;
+  ASSERT_TRUE(model.Fit(data_, opts).ok());
+  ExpectScoresMatchWalk(model, EdgeRows(model.trees()));
+}
+
+TEST_F(BatchConsistencyTest, RootOnlyTreesMatchPointerWalk) {
+  GradientBoostedTrees gbm;
+  GbmOptions gopts;
+  gopts.num_rounds = 11;
+  gopts.max_depth = 0;
+  ASSERT_TRUE(gbm.Fit(data_, gopts).ok());
+  for (const std::vector<GbmNode>& tree : gbm.trees()) {
+    ASSERT_EQ(tree.size(), 1u);
+  }
+  ExpectScoresMatchWalk(gbm, EdgeRows(gbm.trees()));
+
+  DecisionTree tree;
+  DecisionTreeOptions topts;
+  // Every split would leave a side under min_samples_leaf rows.
+  topts.min_samples_leaf = data_.size();
+  ASSERT_TRUE(tree.Fit(data_, topts).ok());
+  ASSERT_EQ(tree.nodes().size(), 1u);
+  ExpectScoresMatchWalk(tree, EdgeRows(std::vector<DecisionTree>{tree}));
 }
 
 TEST_F(BatchConsistencyTest, Knn) {
