@@ -166,7 +166,7 @@ void PrintOnce() {
   t.AddRow(Timed("Post-hoc/approximation", "local surrogate (LIME)", "B",
                  "L", [&] {
     Rng rng(5);
-    auto s = FitLocalSurrogate(model, data, x, {}, &rng);
+    auto s = FitLocalSurrogate(model, data, x, &rng);
     return "fidelity R^2=" + F(s.fidelity);
   }));
 
@@ -232,7 +232,7 @@ void BM_Fig2LocalSurrogate(benchmark::State& state) {
   const Vector x = ctx.credit.instance(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        FitLocalSurrogate(ctx.credit_model, ctx.credit, x, {}, &rng));
+        FitLocalSurrogate(ctx.credit_model, ctx.credit, x, &rng));
   }
 }
 BENCHMARK(BM_Fig2LocalSurrogate)->Unit(benchmark::kMillisecond);

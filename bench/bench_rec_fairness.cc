@@ -84,7 +84,7 @@ void PrintOnce() {
     MatrixFactorization mf;
     XFAIR_CHECK(mf.Fit(world.interactions, {}).ok());
     auto report = ExplainRecFairnessByFactors(mf, world.interactions,
-                                              world.item_groups, {});
+                                              world.item_groups);
     AsciiTable t({"latent factor", "best damp scale", "fairness gain",
                   "utility loss", "explainability"});
     for (size_t k = 0; k < std::min<size_t>(4, report.ranked_factors.size());

@@ -46,7 +46,7 @@ void PrintOnce() {
       auto cf =
           GrowingSpheresCounterfactual(model, data.schema(), x, {}, &rng);
       auto recourse =
-          FindCausalRecourse(model, world.scm, x, {*income}, {});
+          FindCausalRecourse(model, world.scm, x, {*income});
       if (!cf.valid || !recourse.found) continue;
       // Comparable units: range-normalized distance of the final state.
       independent_cost += cf.distance;
@@ -138,7 +138,7 @@ void BM_CausalRecourseSearch(benchmark::State& state) {
   } while (model.Predict(x) == 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        FindCausalRecourse(model, world.scm, x, {*income, *savings}, {}));
+        FindCausalRecourse(model, world.scm, x, {*income, *savings}));
   }
 }
 BENCHMARK(BM_CausalRecourseSearch)->Unit(benchmark::kMicrosecond);

@@ -157,9 +157,9 @@ void PrintOnce() {
                   "global surrogate fidelity"});
     Rng rng(165);
     const Vector x = data.instance(5);
-    auto local_lr = FitLocalSurrogate(lr, data, x, {}, &rng);
-    auto local_rf = FitLocalSurrogate(forest, data, x, {}, &rng);
-    auto local_gbm = FitLocalSurrogate(gbm, data, x, {}, &rng);
+    auto local_lr = FitLocalSurrogate(lr, data, x, &rng);
+    auto local_rf = FitLocalSurrogate(forest, data, x, &rng);
+    auto local_gbm = FitLocalSurrogate(gbm, data, x, &rng);
     auto global_lr = FitGlobalSurrogate(lr, data, 4);
     auto global_rf = FitGlobalSurrogate(forest, data, 4);
     auto global_gbm = FitGlobalSurrogate(gbm, data, 4);

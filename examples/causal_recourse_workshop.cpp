@@ -48,7 +48,7 @@ int main() {
     Vector x = world.scm.SampleDo({{world.sensitive, 1.0}}, &rng);
     if (model.Predict(x) == 1) continue;
     auto recourse =
-        FindCausalRecourse(model, world.scm, x, {*income, *savings}, {});
+        FindCausalRecourse(model, world.scm, x, {*income, *savings});
     if (!recourse.found) continue;
     std::printf("\nrecourse for a denied protected individual "
                 "(cost %.2f):\n",

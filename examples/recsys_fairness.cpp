@@ -50,7 +50,7 @@ int main() {
   MatrixFactorization mf;
   if (!mf.Fit(world.interactions, {}).ok()) return 1;
   auto cef = ExplainRecFairnessByFactors(mf, world.interactions,
-                                         world.item_groups, {});
+                                         world.item_groups);
   if (!cef.ranked_factors.empty()) {
     const auto& f = cef.ranked_factors.front();
     std::printf("\nCEF: damping latent factor %zu to %.2f trades %.4f "

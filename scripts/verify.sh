@@ -89,7 +89,7 @@ cmake -B build-nosimd -S . -DXFAIR_SIMD=OFF > /dev/null
 cmake --build build-nosimd -j "$(nproc)" --target xfair_tests parallel_test
 ./build-nosimd/tests/xfair_tests
 ./build-nosimd/tests/parallel_test \
-  --gtest_filter='BatchConsistencyTest.*:ParallelModel.*:ParallelExplain.*:ParallelUnfair.*'
+  --gtest_filter='BatchConsistencyTest.*:ParallelModel.*:ParallelExplain.*:ParallelUnfair.*:ParallelRegistry.*'
 
 echo
 echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="

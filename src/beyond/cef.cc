@@ -9,10 +9,16 @@
 namespace xfair {
 namespace {
 
+/// Ranking depth of every user's top-k.
+constexpr size_t kTopK = 10;
+/// Candidate damping scales swept per factor.
+constexpr double kScales[] = {0.0, 0.25, 0.5, 0.75};
+/// Utility-loss weight in the explainability score.
+constexpr double kBeta = 0.5;
+
 std::vector<size_t> RankDamped(const MatrixFactorization& model,
                                const Interactions& interactions,
-                               size_t user, size_t k, size_t factor,
-                               double scale) {
+                               size_t user, size_t factor, double scale) {
   std::vector<size_t> order;
   for (size_t i = 0; i < interactions.num_items(); ++i)
     if (!interactions.Has(user, i)) order.push_back(i);
@@ -22,21 +28,19 @@ std::vector<size_t> RankDamped(const MatrixFactorization& model,
     if (sa != sb) return sa > sb;
     return a < b;
   });
-  if (order.size() > k) order.resize(k);
+  if (order.size() > kTopK) order.resize(kTopK);
   return order;
 }
 
 /// Mean |exposure gap| and mean utility of damped rankings over users.
 void EvaluateDamped(const MatrixFactorization& model,
                     const Interactions& interactions,
-                    const std::vector<int>& item_groups, size_t k,
-                    size_t factor, double scale, double* abs_gap,
-                    double* utility) {
+                    const std::vector<int>& item_groups, size_t factor,
+                    double scale, double* abs_gap, double* utility) {
   double gap_acc = 0.0, util_acc = 0.0;
   size_t users = 0;
   for (size_t u = 0; u < interactions.num_users(); ++u) {
-    const auto ranking = RankDamped(model, interactions, u, k, factor,
-                                    scale);
+    const auto ranking = RankDamped(model, interactions, u, factor, scale);
     if (ranking.empty()) continue;
     const Result<double> gap = ExposureGap(ranking, item_groups);
     XFAIR_CHECK(gap.ok());  // RankDamped emits only valid item ids.
@@ -55,24 +59,23 @@ void EvaluateDamped(const MatrixFactorization& model,
 
 CefReport ExplainRecFairnessByFactors(const MatrixFactorization& model,
                                       const Interactions& interactions,
-                                      const std::vector<int>& item_groups,
-                                      const CefOptions& options) {
+                                      const std::vector<int>& item_groups) {
   XFAIR_CHECK(model.fitted());
   CefReport report;
   // Baseline: scale 1 on any factor is the unperturbed model.
-  EvaluateDamped(model, interactions, item_groups, options.top_k, 0, 1.0,
+  EvaluateDamped(model, interactions, item_groups, 0, 1.0,
                  &report.base_exposure_gap, &report.base_utility);
 
   for (size_t f = 0; f < model.rank(); ++f) {
     CefFactorExplanation ex;
     ex.factor = f;
-    for (double scale : options.scales) {
+    for (double scale : kScales) {
       double gap = 0.0, utility = 0.0;
-      EvaluateDamped(model, interactions, item_groups, options.top_k, f,
-                     scale, &gap, &utility);
+      EvaluateDamped(model, interactions, item_groups, f, scale, &gap,
+                     &utility);
       const double gain = report.base_exposure_gap - gap;
       const double loss = report.base_utility - utility;
-      const double score = gain - options.beta * loss;
+      const double score = gain - kBeta * loss;
       if (score > ex.explainability) {
         ex.explainability = score;
         ex.best_scale = scale;

@@ -20,17 +20,8 @@ struct CefFactorExplanation {
   double best_scale = 1.0;
   double fairness_gain = 0.0;  ///< Reduction in |exposure gap|.
   double utility_loss = 0.0;   ///< Drop in mean top-k self-score.
-  /// fairness_gain - beta * utility_loss (the CEF explainability score).
+  /// fairness_gain - 0.5 * utility_loss (the CEF explainability score).
   double explainability = 0.0;
-};
-
-/// Options for ExplainRecFairnessByFactors.
-struct CefOptions {
-  size_t top_k = 10;
-  /// Candidate damping scales swept per factor.
-  std::vector<double> scales = {0.0, 0.25, 0.5, 0.75};
-  /// Utility-loss weight in the explainability score.
-  double beta = 0.5;
 };
 
 /// CEF report: factors ranked by explainability.
@@ -42,8 +33,7 @@ struct CefReport {
 
 CefReport ExplainRecFairnessByFactors(const MatrixFactorization& model,
                                       const Interactions& interactions,
-                                      const std::vector<int>& item_groups,
-                                      const CefOptions& options);
+                                      const std::vector<int>& item_groups);
 
 }  // namespace xfair
 

@@ -54,6 +54,9 @@ std::vector<size_t> AttributeRecommender::RankItems(
 
 namespace {
 
+/// Attributes masked at most.
+constexpr size_t kMaxAttributes = 4;
+
 double MeanAbsExposureGap(const AttributeRecommender& model,
                           const std::vector<int>& item_groups, size_t k,
                           const std::vector<bool>& masked) {
@@ -92,7 +95,7 @@ CfairerReport ExplainFairnessByAttributes(
   std::vector<size_t> candidates;
   for (size_t a = 0; a < model.num_attributes(); ++a)
     candidates.push_back(a);
-  while (report.attribute_set.size() < options.max_attributes &&
+  while (report.attribute_set.size() < kMaxAttributes &&
          current > options.target_gap && !candidates.empty()) {
     size_t best = model.num_attributes();
     double best_gap = current;

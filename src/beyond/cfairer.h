@@ -55,7 +55,6 @@ struct CfairerReport {
 struct CfairerOptions {
   size_t top_k = 10;
   double target_gap = 0.05;  ///< Stop once |exposure gap| <= this.
-  size_t max_attributes = 4;
 };
 
 /// Greedy minimal attribute set bringing protected-item exposure

@@ -8,6 +8,9 @@
 namespace xfair {
 namespace {
 
+/// Permutations of the sampled Shapley engine (d > 10).
+constexpr size_t kPermutations = 40;
+
 /// Protected share of the top-k under a masked scorer: attributes outside
 /// the coalition are frozen to their column means for every tuple, so
 /// they cannot differentiate the ranking.
@@ -72,7 +75,7 @@ DexerReport ExplainRankingRepresentation(const Dataset& data,
   report.attributions = d <= 10
                             ? ExactShapley(value, d)
                             : SampledShapley(value, d,
-                                             options.permutations, &rng);
+                                             kPermutations, &rng);
 
   report.attribute_names.reserve(d);
   for (size_t c = 0; c < d; ++c)

@@ -44,7 +44,6 @@ struct DexerReport {
 /// Options for ExplainRankingRepresentation.
 struct DexerOptions {
   size_t top_k = 50;
-  size_t permutations = 40;  ///< For the sampled Shapley engine (d > 10).
   uint64_t seed = 23;
 };
 

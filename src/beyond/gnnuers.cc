@@ -25,6 +25,14 @@ double UserGroupQualityGap(const Interactions& interactions,
   return q0 - q1;
 }
 
+namespace {
+
+/// Candidate edges per round (highest-degree items of the advantaged
+/// group's users first).
+constexpr size_t kCandidatesPerRound = 20;
+
+}  // namespace
+
 GnnuersReport ExplainUserUnfairnessByPerturbation(
     const Interactions& interactions, const std::vector<int>& user_groups,
     const GnnuersOptions& options) {
@@ -47,8 +55,8 @@ GnnuersReport ExplainUserUnfairnessByPerturbation(
       ranked.push_back({working.UsersOf(i).size(), {u, i}});
     }
     std::sort(ranked.rbegin(), ranked.rend());
-    if (ranked.size() > options.candidates_per_round)
-      ranked.resize(options.candidates_per_round);
+    if (ranked.size() > kCandidatesPerRound)
+      ranked.resize(kCandidatesPerRound);
     if (ranked.empty()) break;
 
     size_t best_u = 0, best_i = 0;

@@ -30,9 +30,6 @@ struct GnnuersOptions {
   size_t max_deletions = 10;
   /// Stop once the |gap| falls below this.
   double target_gap = 0.02;
-  /// Candidate edges per round (highest-degree items of the advantaged
-  /// group's users first).
-  size_t candidates_per_round = 20;
 };
 
 /// Report: the perturbation (edge deletions in order) and the gap curve.

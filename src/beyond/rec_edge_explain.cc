@@ -4,6 +4,12 @@
 
 namespace xfair {
 
+namespace {
+
+constexpr size_t kReportTop = 5;  ///< Attributions reported.
+
+}  // namespace
+
 std::vector<RecEdgeAttribution> ExplainExposureByEdgeRemoval(
     const Interactions& interactions, const std::vector<int>& item_groups,
     const RecEdgeExplainOptions& options) {
@@ -36,16 +42,15 @@ std::vector<RecEdgeAttribution> ExplainExposureByEdgeRemoval(
             [](const RecEdgeAttribution& a, const RecEdgeAttribution& b) {
               return a.effect > b.effect;
             });
-  if (attributions.size() > options.report_top)
-    attributions.resize(options.report_top);
+  if (attributions.size() > kReportTop)
+    attributions.resize(kReportTop);
   return attributions;
 }
 
 std::vector<RecEdgeAttribution> ExplainUserItemScore(
-    const Interactions& interactions, size_t user, size_t item,
-    const RecWalkOptions& walk_options) {
+    const Interactions& interactions, size_t user, size_t item) {
   Interactions working = interactions;
-  RecWalkScorer base_scorer(&working, walk_options);
+  RecWalkScorer base_scorer(&working);
   const double base = base_scorer.ScoreItems(user)[item];
 
   std::vector<RecEdgeAttribution> attributions;
@@ -54,7 +59,7 @@ std::vector<RecEdgeAttribution> ExplainUserItemScore(
   for (size_t i : own_items) {
     if (i == item) continue;
     working.Remove(user, i);
-    RecWalkScorer scorer(&working, walk_options);
+    RecWalkScorer scorer(&working);
     const double score = scorer.ScoreItems(user)[item];
     attributions.push_back({user, i, score - base});
     working.Add(user, i);

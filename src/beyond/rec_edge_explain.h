@@ -23,7 +23,6 @@ struct RecEdgeAttribution {
 struct RecEdgeExplainOptions {
   size_t top_k = 10;       ///< Ranking depth for exposure.
   size_t max_edges = 30;   ///< Edge candidates evaluated (by item degree).
-  size_t report_top = 5;   ///< Attributions reported.
 };
 
 /// Explains the protected-item exposure share: which interactions, if
@@ -36,8 +35,7 @@ std::vector<RecEdgeAttribution> ExplainExposureByEdgeRemoval(
 /// Explains one user's estimated rating of one item: effect of removing
 /// each of the user's own interactions on score(user, item).
 std::vector<RecEdgeAttribution> ExplainUserItemScore(
-    const Interactions& interactions, size_t user, size_t item,
-    const RecWalkOptions& walk_options = {});
+    const Interactions& interactions, size_t user, size_t item);
 
 }  // namespace xfair
 

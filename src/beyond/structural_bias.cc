@@ -4,6 +4,13 @@
 
 namespace xfair {
 
+namespace {
+
+/// Only edges with |gap_change| above this enter the sets.
+constexpr double kMinEffect = 1e-6;
+
+}  // namespace
+
 StructuralBiasReport ExplainNodeBias(const SgcModel& model,
                                      const GraphData& data, size_t node,
                                      const StructuralBiasOptions& options) {
@@ -54,14 +61,14 @@ StructuralBiasReport ExplainNodeBias(const SgcModel& model,
               return a.gap_change < b.gap_change;
             });
   for (const auto& attr : report.attributions) {
-    if (attr.gap_change < -options.min_effect &&
+    if (attr.gap_change < -kMinEffect &&
         report.bias_edge_set.size() < options.max_set_size) {
       report.bias_edge_set.push_back(attr.edge);
     }
   }
   for (auto it = report.attributions.rbegin();
        it != report.attributions.rend(); ++it) {
-    if (it->gap_change > options.min_effect &&
+    if (it->gap_change > kMinEffect &&
         report.fairness_edge_set.size() < options.max_set_size) {
       report.fairness_edge_set.push_back(it->edge);
     }

@@ -38,8 +38,6 @@ struct StructuralBiasReport {
 /// Options for ExplainNodeBias.
 struct StructuralBiasOptions {
   size_t max_set_size = 5;
-  /// Only edges with |gap_change| above this enter the sets.
-  double min_effect = 1e-6;
 };
 
 /// Scores every edge in `node`'s computation graph (all edges within

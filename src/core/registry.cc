@@ -314,7 +314,7 @@ std::vector<ApproachDescriptor> BuildRegistry() {
          MatrixFactorization mf;
          if (!mf.Fit(ctx.rec.interactions, {}).ok()) return std::string("n/a");
          auto r = ExplainRecFairnessByFactors(mf, ctx.rec.interactions,
-                                              ctx.rec.item_groups, {});
+                                              ctx.rec.item_groups);
          if (r.ranked_factors.empty()) return std::string("n/a");
          const auto& top = r.ranked_factors[0];
          return "factor " + std::to_string(top.factor) +
@@ -431,7 +431,7 @@ std::vector<ApproachDescriptor> BuildRegistry() {
                {{ctx.world.sensitive, 1.0}}, &rng);
            if (ctx.world_model.Predict(x) == 1) continue;
            auto r = FindCausalRecourse(ctx.world_model, ctx.world.scm, x,
-                                       {*income}, {});
+                                       {*income});
            if (!r.found) continue;
            return std::to_string(r.interventions.size()) +
                   " interventions, cost=" + F(r.cost);

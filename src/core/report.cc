@@ -13,6 +13,9 @@
 namespace xfair {
 namespace {
 
+/// Number of parity-gap contributors to list.
+constexpr size_t kTopContributors = 3;
+
 /// The four-fifths rule (29 CFR 1607.4(D)): the lower group selection
 /// rate over the higher one fails below 0.8. Symmetric in which group is
 /// coded 1, and undefined when there is no rate to compare against.
@@ -76,7 +79,7 @@ std::string WriteAuditReport(const Model& model, const Dataset& data,
     out += "## Parity-gap contributors (fairness Shapley [81])\n\n";
     AsciiTable t({"feature", "contribution"});
     const size_t k =
-        std::min(options.top_contributors, shap.ranked_features.size());
+        std::min(kTopContributors, shap.ranked_features.size());
     for (size_t i = 0; i < k; ++i) {
       const size_t c = shap.ranked_features[i];
       t.AddRow({shap.feature_names[c],

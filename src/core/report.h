@@ -18,8 +18,6 @@ namespace xfair {
 struct AuditReportOptions {
   /// Seed for the stochastic components (CF search, Shapley sampling).
   uint64_t seed = 2024;
-  /// Number of parity-gap contributors to list.
-  size_t top_contributors = 3;
   /// Number of FACTS subgroups to list.
   size_t top_subgroups = 3;
   /// Skip the counterfactual sections (burden, FACTS) for very large

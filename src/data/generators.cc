@@ -8,6 +8,9 @@ namespace {
 
 double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
+/// Symmetric label noise applied to everyone.
+constexpr double kLabelNoise = 0.03;
+
 double Clamp(double v, double lo, double hi) {
   return std::min(std::max(v, lo), hi);
 }
@@ -18,7 +21,7 @@ int DrawLabel(double p_favorable, int group, const BiasConfig& cfg,
               Rng* rng) {
   int y = rng->Bernoulli(p_favorable) ? 1 : 0;
   if (y == 1 && group == 1 && rng->Bernoulli(cfg.label_bias)) y = 0;
-  if (rng->Bernoulli(cfg.label_noise)) y = 1 - y;
+  if (rng->Bernoulli(kLabelNoise)) y = 1 - y;
   return y;
 }
 

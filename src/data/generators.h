@@ -33,8 +33,6 @@ struct BiasConfig {
   /// group. 1 = full historical disparity, 0 = groups identically
   /// qualified.
   double qualification_gap = 1.0;
-  /// Symmetric label noise applied to everyone.
-  double label_noise = 0.03;
 };
 
 /// German-credit-like loan dataset. Favorable label = creditworthy.

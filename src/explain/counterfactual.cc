@@ -11,46 +11,15 @@
 namespace xfair {
 namespace {
 
+/// Wachter: gradient step size.
+constexpr double kStepSize = 0.25;
+
 /// Per-feature ranges hoisted out of the per-candidate loops.
 Vector FeatureRanges(const Schema& schema) {
   Vector ranges(schema.num_features());
   for (size_t c = 0; c < ranges.size(); ++c)
     ranges[c] = FeatureRange(schema.feature(c));
   return ranges;
-}
-
-/// Projects a candidate onto the feasible set: bounds, integrality of
-/// binary/categorical features, and (optionally) actionability relative to
-/// the factual x.
-void Project(const Schema& schema, const Vector& x, bool actionable,
-             Vector* cand) {
-  for (size_t c = 0; c < cand->size(); ++c) {
-    const FeatureSpec& spec = schema.feature(c);
-    double v = (*cand)[c];
-    if (actionable) {
-      switch (spec.actionability) {
-        case Actionability::kImmutable:
-          v = x[c];
-          break;
-        case Actionability::kIncreaseOnly:
-          v = std::max(v, x[c]);
-          break;
-        case Actionability::kDecreaseOnly:
-          v = std::min(v, x[c]);
-          break;
-        case Actionability::kAny:
-          break;
-      }
-    }
-    v = std::min(std::max(v, spec.lower), spec.upper);
-    if (spec.kind == FeatureKind::kBinary) {
-      v = v >= 0.5 ? 1.0 : 0.0;
-    } else if (spec.kind == FeatureKind::kCategorical) {
-      v = std::round(v);
-      v = std::min(std::max(v, 0.0), static_cast<double>(spec.arity - 1));
-    }
-    (*cand)[c] = v;
-  }
 }
 
 /// Greedy sparsification: resets changed coordinates to their factual
@@ -95,6 +64,39 @@ CounterfactualResult Invalid(const Vector& x, size_t iterations) {
 
 }  // namespace
 
+void ProjectToFeasible(const Schema& schema, const Vector& x,
+                       bool respect_actionability, Vector* candidate) {
+  XFAIR_CHECK(candidate->size() == x.size() &&
+              x.size() == schema.num_features());
+  for (size_t c = 0; c < candidate->size(); ++c) {
+    const FeatureSpec& spec = schema.feature(c);
+    double v = (*candidate)[c];
+    if (respect_actionability) {
+      switch (spec.actionability) {
+        case Actionability::kImmutable:
+          v = x[c];
+          break;
+        case Actionability::kIncreaseOnly:
+          v = std::max(v, x[c]);
+          break;
+        case Actionability::kDecreaseOnly:
+          v = std::min(v, x[c]);
+          break;
+        case Actionability::kAny:
+          break;
+      }
+    }
+    v = std::min(std::max(v, spec.lower), spec.upper);
+    if (spec.kind == FeatureKind::kBinary) {
+      v = v >= 0.5 ? 1.0 : 0.0;
+    } else if (spec.kind == FeatureKind::kCategorical) {
+      v = std::round(v);
+      v = std::min(std::max(v, 0.0), static_cast<double>(spec.arity - 1));
+    }
+    (*candidate)[c] = v;
+  }
+}
+
 double NormalizedDistance(const Schema& schema, const Vector& a,
                           const Vector& b) {
   XFAIR_CHECK(a.size() == b.size());
@@ -112,7 +114,7 @@ CounterfactualResult WachterCounterfactual(
     const CounterfactualConfig& config) {
   XFAIR_CHECK(x.size() == schema.num_features());
   XFAIR_SPAN("cf/wachter");
-  const int target = config.target_class;
+  const int target = kCounterfactualTargetClass;
   if (model.Predict(x) == target) {
     CounterfactualResult r;
     r.counterfactual = x;
@@ -133,10 +135,10 @@ CounterfactualResult WachterCounterfactual(
     }
     if (norm < 1e-12) return Invalid(x, iter);  // Flat region: stuck.
     for (size_t c = 0; c < cf.size(); ++c) {
-      cf[c] += direction * config.step_size *
+      cf[c] += direction * kStepSize *
                FeatureRange(schema.feature(c)) * grad[c] / norm;
     }
-    Project(schema, x, config.respect_actionability, &cf);
+    ProjectToFeasible(schema, x, config.respect_actionability, &cf);
   }
   if (model.Predict(cf) != target) return Invalid(x, iter);
 
@@ -148,7 +150,7 @@ CounterfactualResult WachterCounterfactual(
     Vector cand(x.size());
     for (size_t c = 0; c < x.size(); ++c)
       cand[c] = x[c] + mid * (cf[c] - x[c]);
-    Project(schema, x, config.respect_actionability, &cand);
+    ProjectToFeasible(schema, x, config.respect_actionability, &cand);
     if (model.Predict(cand) == target) {
       hi = mid;
     } else {
@@ -158,7 +160,7 @@ CounterfactualResult WachterCounterfactual(
   Vector best(x.size());
   for (size_t c = 0; c < x.size(); ++c)
     best[c] = x[c] + hi * (cf[c] - x[c]);
-  Project(schema, x, config.respect_actionability, &best);
+  ProjectToFeasible(schema, x, config.respect_actionability, &best);
   if (model.Predict(best) != target) best = cf;  // Rounding broke it: keep cf.
   return Finish(model, schema, x, std::move(best), target, iter);
 }
@@ -169,7 +171,7 @@ CounterfactualResult GrowingSpheresCounterfactual(
   XFAIR_CHECK(rng != nullptr);
   XFAIR_CHECK(x.size() == schema.num_features());
   XFAIR_SPAN("cf/growing_spheres");
-  const int target = config.target_class;
+  const int target = kCounterfactualTargetClass;
   if (model.Predict(x) == target) {
     CounterfactualResult r;
     r.counterfactual = x;
@@ -202,7 +204,7 @@ CounterfactualResult GrowingSpheresCounterfactual(
       const double r = radius * (0.7 + 0.3 * sample_rng.Uniform());
       kernels::ScaledAxpy(r / norm, ranges.data(), dir.data(), cand.data(),
                           cand.size());
-      Project(schema, x, config.respect_actionability, &cand);
+      ProjectToFeasible(schema, x, config.respect_actionability, &cand);
       if (model.Predict(cand) != target) continue;
       const double dist = std::sqrt(kernels::WeightedSquaredDistance(
           x.data(), cand.data(), inv_ranges.data(), x.size()));

@@ -29,23 +29,30 @@ struct CounterfactualResult {
   size_t iterations = 0;  ///< Search iterations consumed.
 };
 
+/// Desired predicted class of every counterfactual: the favorable class 1
+/// for an explainee mapped to 0.
+inline constexpr int kCounterfactualTargetClass = 1;
+
 /// Shared knobs for counterfactual generators.
 struct CounterfactualConfig {
-  /// Desired predicted class of the counterfactual (usually the favorable
-  /// class 1 for an explainee mapped to 0).
-  int target_class = 1;
   /// Enforce Schema actionability and bounds. When false only bounds
   /// apply (plain Wachter CFEs, not recourse).
   bool respect_actionability = true;
   size_t max_iterations = 300;
-  /// Wachter: gradient step size.
-  double step_size = 0.25;
   /// Growing spheres: initial radius and growth factor.
   double initial_radius = 0.1;
   double radius_growth = 1.3;
   /// Growing spheres: candidate points sampled per sphere.
   size_t samples_per_sphere = 40;
 };
+
+/// Projects `candidate` onto the feasible set around the factual `x`: with
+/// `respect_actionability`, immutable features are reset to x and
+/// directional ones kept on their side of it; then every value is clamped
+/// to its schema bounds, binary features are rounded to 0/1 and
+/// categorical ones to the nearest code in [0, arity).
+void ProjectToFeasible(const Schema& schema, const Vector& x,
+                       bool respect_actionability, Vector* candidate);
 
 /// Range-normalized L2 distance: each coordinate is divided by its schema
 /// range (upper - lower, or 1 when unbounded) so "distance" is comparable

@@ -3,6 +3,12 @@
 #include <limits>
 
 namespace xfair {
+namespace {
+
+/// Attempts per slot before giving up on more diversity.
+constexpr size_t kAttemptsPerSlot = 8;
+
+}  // namespace
 
 DiverseCounterfactuals GenerateDiverseCounterfactuals(
     const Model& model, const Schema& schema, const Vector& x,
@@ -21,8 +27,7 @@ DiverseCounterfactuals GenerateDiverseCounterfactuals(
 
   while (out.results.size() < options.k) {
     bool accepted = false;
-    for (size_t attempt = 0; attempt < options.attempts_per_slot;
-         ++attempt) {
+    for (size_t attempt = 0; attempt < kAttemptsPerSlot; ++attempt) {
       // Route diversity: after the first counterfactual, randomly freeze
       // roughly half of the movable features so later searches are forced
       // through different recourse routes (the same idea as DiCE's
@@ -39,9 +44,8 @@ DiverseCounterfactuals GenerateDiverseCounterfactuals(
         }
         search_schema = Schema(std::move(specs), schema.sensitive_index());
       }
-      CounterfactualConfig config = options.cf_config;
-      config.initial_radius =
-          options.cf_config.initial_radius * (1.0 + 0.5 * attempt);
+      CounterfactualConfig config;
+      config.initial_radius *= 1.0 + 0.5 * attempt;
       auto r = GrowingSpheresCounterfactual(model, search_schema, x,
                                             config, rng);
       if (!r.valid) continue;
@@ -49,7 +53,7 @@ DiverseCounterfactuals GenerateDiverseCounterfactuals(
       for (const auto& prev : out.results) {
         if (NormalizedDistance(schema, r.counterfactual,
                                prev.counterfactual) <
-            options.min_separation) {
+            kDiverseMinSeparation) {
           distinct = false;
           break;
         }

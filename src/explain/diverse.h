@@ -21,19 +21,18 @@ struct DiverseCounterfactuals {
   double mean_cost = 0.0;
 };
 
+/// Candidates closer than this (normalized) to an accepted CF are rejected,
+/// forcing spread.
+inline constexpr double kDiverseMinSeparation = 0.15;
+
 /// Options for GenerateDiverseCounterfactuals.
 struct DiverseCfOptions {
   size_t k = 3;  ///< Counterfactuals requested.
-  /// Candidates closer than this (normalized) to an accepted CF are
-  /// rejected, forcing spread.
-  double min_separation = 0.15;
-  /// Attempts per slot before giving up on more diversity.
-  size_t attempts_per_slot = 8;
-  CounterfactualConfig cf_config;
 };
 
 /// Generates up to k diverse feasible counterfactuals via repeated
-/// growing-spheres searches with rejection of near-duplicates.
+/// growing-spheres searches (default CounterfactualConfig, initial radius
+/// widened per attempt) with rejection of near-duplicates.
 DiverseCounterfactuals GenerateDiverseCounterfactuals(
     const Model& model, const Schema& schema, const Vector& x,
     const DiverseCfOptions& options, Rng* rng);

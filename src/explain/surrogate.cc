@@ -5,22 +5,32 @@
 #include "src/util/stats.h"
 
 namespace xfair {
+namespace {
+
+/// Perturbations sampled around the explainee.
+constexpr size_t kNumSamples = 400;
+/// Perturbation scale as a fraction of each feature's observed stddev.
+constexpr double kPerturbationScale = 0.5;
+/// Exponential kernel width (in units of perturbation distance).
+constexpr double kKernelWidth = 1.0;
+/// Ridge added to the coefficients' diagonal.
+constexpr double kRidge = 1e-3;
+
+}  // namespace
 
 LocalSurrogate FitLocalSurrogate(const Model& model, const Dataset& data,
-                                 const Vector& x,
-                                 const LocalSurrogateOptions& options,
-                                 Rng* rng) {
+                                 const Vector& x, Rng* rng) {
   XFAIR_CHECK(rng != nullptr);
   XFAIR_CHECK(x.size() == data.num_features());
-  XFAIR_CHECK(options.num_samples >= x.size() + 2);
+  XFAIR_CHECK(kNumSamples >= x.size() + 2);
   const size_t d = x.size();
-  const size_t n = options.num_samples;
+  const size_t n = kNumSamples;
 
   // Per-feature perturbation scales from the data distribution.
   Vector scales(d);
   for (size_t c = 0; c < d; ++c) {
     const double sd = Stddev(data.x().Col(c));
-    scales[c] = (sd > 1e-12 ? sd : 1.0) * options.perturbation_scale;
+    scales[c] = (sd > 1e-12 ? sd : 1.0) * kPerturbationScale;
   }
 
   // Sample perturbations, query the black box, compute kernel weights.
@@ -38,7 +48,7 @@ LocalSurrogate FitLocalSurrogate(const Model& model, const Dataset& data,
     z.SetRow(i, zi);
     y[i] = model.PredictProba(zi);
     w[i] = std::exp(-dist2 /
-                    (2.0 * options.kernel_width * options.kernel_width *
+                    (2.0 * kKernelWidth * kKernelWidth *
                      static_cast<double>(d)));
   }
 
@@ -57,7 +67,7 @@ LocalSurrogate FitLocalSurrogate(const Model& model, const Dataset& data,
         xtx.At(a, b) += w[i] * row[a] * row[b];
     }
   }
-  for (size_t a = 1; a <= d; ++a) xtx.At(a, a) += options.ridge;
+  for (size_t a = 1; a <= d; ++a) xtx.At(a, a) += kRidge;
   xtx.At(0, 0) += 1e-9;
   Result<Vector> beta = SolveLinearSystem(std::move(xtx), std::move(xty));
   LocalSurrogate out;

@@ -21,23 +21,11 @@ struct LocalSurrogate {
   double fidelity = 0.0;
 };
 
-/// Options for FitLocalSurrogate.
-struct LocalSurrogateOptions {
-  size_t num_samples = 400;
-  /// Perturbation scale as a fraction of each feature's observed stddev.
-  double perturbation_scale = 0.5;
-  /// Exponential kernel width (in units of perturbation distance).
-  double kernel_width = 1.0;
-  double ridge = 1e-3;
-};
-
-/// LIME-style explanation: samples Gaussian perturbations of `x`, weights
-/// them by proximity, and fits a ridge regression to the black-box scores.
-/// `data` supplies per-feature scales for perturbation.
+/// LIME-style explanation: samples 400 Gaussian perturbations of `x`,
+/// weights them by proximity, and fits a ridge regression to the black-box
+/// scores. `data` supplies per-feature scales for perturbation.
 LocalSurrogate FitLocalSurrogate(const Model& model, const Dataset& data,
-                                 const Vector& x,
-                                 const LocalSurrogateOptions& options,
-                                 Rng* rng);
+                                 const Vector& x, Rng* rng);
 
 /// Global surrogate: a shallow decision tree trained to mimic the
 /// black-box's hard predictions on `data`.

@@ -3,20 +3,27 @@
 #include <cmath>
 
 namespace xfair {
+namespace {
+
+/// P(node belongs to the protected group).
+constexpr double kProtectedFraction = 0.5;
+/// Node feature columns.
+constexpr size_t kNumFeatures = 4;
+
+}  // namespace
 
 GraphData GenerateSbm(const SbmConfig& config, uint64_t seed) {
   XFAIR_CHECK(config.num_nodes >= 2);
-  XFAIR_CHECK(config.num_features >= 1);
   Rng rng(seed);
   GraphData data;
   const size_t n = config.num_nodes;
   data.graph = Graph(n);
   data.groups.resize(n);
   data.labels.resize(n);
-  data.features = Matrix(n, config.num_features);
+  data.features = Matrix(n, kNumFeatures);
 
   for (size_t u = 0; u < n; ++u) {
-    data.groups[u] = rng.Bernoulli(config.protected_fraction) ? 1 : 0;
+    data.groups[u] = rng.Bernoulli(kProtectedFraction) ? 1 : 0;
   }
   for (size_t u = 0; u < n; ++u) {
     for (size_t v = u + 1; v < n; ++v) {
@@ -29,7 +36,7 @@ GraphData GenerateSbm(const SbmConfig& config, uint64_t seed) {
     // Latent quality drives both features and label; the protected group's
     // label propensity is shifted down.
     const double quality = rng.Normal();
-    for (size_t c = 0; c < config.num_features; ++c) {
+    for (size_t c = 0; c < kNumFeatures; ++c) {
       data.features.At(u, c) =
           config.feature_signal * quality / std::sqrt(2.0) + rng.Normal();
     }

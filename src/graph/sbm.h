@@ -14,12 +14,10 @@ namespace xfair {
 /// Knobs for the biased SBM.
 struct SbmConfig {
   size_t num_nodes = 300;
-  double protected_fraction = 0.5;
   /// Edge probability within a group.
   double p_intra = 0.08;
   /// Edge probability across groups; homophily bias = p_intra - p_inter.
   double p_inter = 0.01;
-  size_t num_features = 4;
   /// How strongly node features carry the label signal.
   double feature_signal = 1.0;
   /// Additive shift of label propensity against the protected group.

@@ -26,7 +26,7 @@ Status SgcModel::Fit(const GraphData& data, const SgcOptions& options) {
   hops_ = options.hops;
   Matrix propagated = PropagateFeatures(data.graph, data.features, hops_);
   propagated_ = AsDataset(propagated, data.labels, data.groups);
-  XFAIR_RETURN_IF_ERROR(head_.Fit(propagated_, options.logistic));
+  XFAIR_RETURN_IF_ERROR(head_.Fit(propagated_));
   fitted_ = true;
   return Status::OK();
 }

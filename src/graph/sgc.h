@@ -15,7 +15,6 @@ namespace xfair {
 /// Options for SgcModel::Fit.
 struct SgcOptions {
   size_t hops = 2;
-  LogisticRegressionOptions logistic;
 };
 
 /// SGC node classifier over a fixed graph.

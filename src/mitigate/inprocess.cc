@@ -2,14 +2,17 @@
 
 #include <cmath>
 
+#include "src/util/kernels.h"
+
 namespace xfair {
 namespace {
 
-double Sigmoid(double z) {
-  if (z >= 0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
+/// Full-batch gradient descent: iterations, step size and L2 weight.
+constexpr size_t kMaxIters = 800;
+constexpr double kLearningRate = 0.3;
+constexpr double kL2 = 1e-3;
+/// kIndividual only: random pairs sampled per iteration.
+constexpr size_t kPairsPerIter = 200;
 
 }  // namespace
 
@@ -46,12 +49,12 @@ Result<LogisticRegression> TrainFairLogisticRegression(
   double b = 0.0;
   Vector z(n), p(n);
   Rng pair_rng(options.pair_seed);  // For the kIndividual pair sampler.
-  for (size_t iter = 0; iter < options.max_iters; ++iter) {
+  for (size_t iter = 0; iter < kMaxIters; ++iter) {
     for (size_t i = 0; i < n; ++i) {
       double zi = b;
       for (size_t c = 0; c < d; ++c) zi += w[c] * standardized(i, c);
       z[i] = zi;
-      p[i] = Sigmoid(zi);
+      p[i] = kernels::Sigmoid(zi);
     }
 
     // Accuracy gradient.
@@ -63,7 +66,7 @@ Result<LogisticRegression> TrainFairLogisticRegression(
       grad_b += err;
     }
     for (size_t c = 0; c < d; ++c)
-      grad_w[c] = grad_w[c] / static_cast<double>(n) + options.l2 * w[c];
+      grad_w[c] = grad_w[c] / static_cast<double>(n) + kL2 * w[c];
     grad_b /= static_cast<double>(n);
 
     // Fairness penalty gradient.
@@ -92,7 +95,7 @@ Result<LogisticRegression> TrainFairLogisticRegression(
         // Lipschitz surrogate on sampled pairs: penalize
         // (|p_i - p_j| - L * dist)^2 where positive, with distances in
         // the standardized feature space.
-        for (size_t pair = 0; pair < options.pairs_per_iter; ++pair) {
+        for (size_t pair = 0; pair < kPairsPerIter; ++pair) {
           const size_t i = pair_rng.Below(n);
           size_t j = pair_rng.Below(n - 1);
           if (j >= i) ++j;
@@ -106,7 +109,7 @@ Result<LogisticRegression> TrainFairLogisticRegression(
           if (excess <= 0.0) continue;
           const double sign = p[i] >= p[j] ? 1.0 : -1.0;
           const double scale = 2.0 * excess * sign /
-                               static_cast<double>(options.pairs_per_iter);
+                               static_cast<double>(kPairsPerIter);
           const double si = p[i] * (1.0 - p[i]);
           const double sj = p[j] * (1.0 - p[j]);
           for (size_t c = 0; c < d; ++c) {
@@ -146,10 +149,10 @@ Result<LogisticRegression> TrainFairLogisticRegression(
     const double kClip = 5.0;
     for (size_t c = 0; c < d; ++c) {
       grad_w[c] = std::min(std::max(grad_w[c], -kClip), kClip);
-      w[c] -= options.learning_rate * grad_w[c];
+      w[c] -= kLearningRate * grad_w[c];
     }
     grad_b = std::min(std::max(grad_b, -kClip), kClip);
-    b -= options.learning_rate * grad_b;
+    b -= kLearningRate * grad_b;
   }
 
   // Fold standardization back into original-space parameters.

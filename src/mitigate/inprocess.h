@@ -27,13 +27,8 @@ struct FairTrainingOptions {
   FairPenalty penalty = FairPenalty::kParity;
   /// Penalty strength; 0 recovers plain logistic regression.
   double lambda = 1.0;
-  size_t max_iters = 800;
-  double learning_rate = 0.3;
-  double l2 = 1e-3;
-  /// kIndividual only: the Lipschitz constant of the constraint and the
-  /// number of random pairs sampled per iteration.
+  /// kIndividual only: the Lipschitz constant of the constraint.
   double lipschitz = 0.3;
-  size_t pairs_per_iter = 200;
   uint64_t pair_seed = 29;
 };
 

@@ -47,6 +47,11 @@ std::vector<int> GroupThresholdModel::PredictBatch(const Matrix& x) const {
 
 namespace {
 
+/// Grid resolution per group.
+constexpr size_t kGrid = 40;
+/// Candidate pairs whose gap exceeds this are rejected outright.
+constexpr double kMaxGap = 0.03;
+
 /// Counts of the rows `members` decided at threshold `t`.
 GroupCounts CountsAtThreshold(const Vector& scores,
                               const std::vector<int>& labels,
@@ -75,20 +80,20 @@ Result<GroupThresholdModel> FitGroupThresholds(
   }
   const Vector scores = base.PredictProbaAll(data);
   const std::vector<int>& labels = data.labels();
-  const auto threshold = [&options](size_t a) {
-    return static_cast<double>(a) / static_cast<double>(options.grid);
+  const auto threshold = [](size_t a) {
+    return static_cast<double>(a) / static_cast<double>(kGrid);
   };
   // Each group's counts at each grid threshold, counted once.
   std::vector<GroupCounts> counts0, counts1;
-  for (size_t a = 1; a < options.grid; ++a) {
+  for (size_t a = 1; a < kGrid; ++a) {
     counts0.push_back(CountsAtThreshold(scores, labels, g0, threshold(a)));
     counts1.push_back(CountsAtThreshold(scores, labels, g1, threshold(a)));
   }
 
   double best_gap = 1e30, best_accuracy = -1.0;
   double best_t0 = 0.5, best_t1 = 0.5;
-  for (size_t a = 1; a < options.grid; ++a) {
-    for (size_t b = 1; b < options.grid; ++b) {
+  for (size_t a = 1; a < kGrid; ++a) {
+    for (size_t b = 1; b < kGrid; ++b) {
       const GroupFairnessReport r =
           DeriveGroupFairness(counts0[a - 1], counts1[b - 1]);
       double gap = 0.0;
@@ -105,8 +110,8 @@ Result<GroupThresholdModel> FitGroupThresholds(
       }
       // Prefer feasible pairs; among them maximize accuracy; otherwise
       // minimize the gap.
-      const bool feasible = gap <= options.max_gap;
-      const bool best_feasible = best_gap <= options.max_gap;
+      const bool feasible = gap <= kMaxGap;
+      const bool best_feasible = best_gap <= kMaxGap;
       bool better = false;
       if (feasible && best_feasible) {
         better = r.accuracy > best_accuracy;

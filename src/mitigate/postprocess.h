@@ -50,10 +50,6 @@ class GroupThresholdModel final : public Model {
 /// Options for FitGroupThresholds.
 struct ThresholdSearchOptions {
   ThresholdCriterion criterion = ThresholdCriterion::kStatisticalParity;
-  /// Grid resolution per group.
-  size_t grid = 40;
-  /// Candidate pairs whose gap exceeds this are rejected outright.
-  double max_gap = 0.03;
 };
 
 /// Grid-searches per-group thresholds on `data` (validation split),

@@ -5,15 +5,12 @@
 
 #include "src/model/presort.h"
 #include "src/obs/obs.h"
+#include "src/util/kernels.h"
 
 namespace xfair {
 namespace {
 
-double Sigmoid(double z) {
-  if (z >= 0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
+using kernels::Sigmoid;
 
 /// Builds one variance-reduction regression tree on the residuals over a
 /// presorted layout and returns its node array. Leaf values use the Newton
@@ -111,7 +108,6 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
   for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
   Result<Presort> layout = Presort::Make(data.x(), std::move(all));
   if (!layout.ok()) return layout.status();
-  learning_rate_ = options.learning_rate;
   trees_.clear();
 
   // Bias: log-odds of the base rate (clamped away from infinities).
@@ -135,12 +131,12 @@ Status GradientBoostedTrees::Fit(const Dataset& data,
     PackedForest step;
     step.Add(builder.nodes, &GbmNode::value);
     for (size_t i = 0; i < n; ++i) {
-      margins[i] += learning_rate_ * step.Score(data.x().RowPtr(i),
-                                                data.num_features());
+      margins[i] += kGbmLearningRate * step.Score(data.x().RowPtr(i),
+                                                  data.num_features());
     }
     trees_.push_back(std::move(builder.nodes));
   }
-  packed_ = PackedForest(bias_, learning_rate_);
+  packed_ = PackedForest(bias_, kGbmLearningRate);
   for (const auto& tree : trees_) packed_.Add(tree, &GbmNode::value);
   fitted_ = true;
   fit_id_ = NextModelFitId();

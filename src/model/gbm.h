@@ -12,12 +12,15 @@
 
 namespace xfair {
 
+/// Shrinkage of every tree's step: margin(x) = bias + kGbmLearningRate *
+/// sum_t tree_t(x).
+inline constexpr double kGbmLearningRate = 0.2;
+
 /// Training options for GradientBoostedTrees.
 struct GbmOptions {
   size_t num_rounds = 60;
   size_t max_depth = 3;
   size_t min_samples_leaf = 5;
-  double learning_rate = 0.2;
 };
 
 /// One node of an internal regression tree (leaves have feature == -1).
@@ -29,7 +32,7 @@ struct GbmNode {
   double cover = 0.0;  ///< Training rows that reached the node (TreeSHAP).
 };
 
-/// Boosted ensemble: margin(x) = bias + lr * sum_t tree_t(x);
+/// Boosted ensemble: margin(x) = bias + kGbmLearningRate * sum_t tree_t(x);
 /// P(y=1|x) = sigmoid(margin).
 class GradientBoostedTrees final : public Model {
  public:
@@ -48,13 +51,11 @@ class GradientBoostedTrees final : public Model {
   /// The fitted regression trees (margin-space; for TreeSHAP).
   const std::vector<std::vector<GbmNode>>& trees() const { return trees_; }
   double bias() const { return bias_; }
-  double learning_rate() const { return learning_rate_; }
 
  private:
   bool fitted_ = false;
   uint64_t fit_id_ = 0;
   double bias_ = 0.0;
-  double learning_rate_ = 0.2;
   std::vector<std::vector<GbmNode>> trees_;
   /// The regression trees packed for scoring (score = margin), rebuilt
   /// at the end of Fit.

@@ -7,6 +7,13 @@
 #include "src/util/parallel.h"
 
 namespace xfair {
+namespace {
+
+/// Gradient-descent step size and L2 weight.
+constexpr double kLearningRate = 0.5;
+constexpr double kL2 = 1e-3;
+
+}  // namespace
 
 using kernels::Sigmoid;
 
@@ -75,12 +82,12 @@ Status LogisticRegression::Fit(const Dataset& data,
     }
     double max_abs = std::fabs(grad_b / total_weight);
     for (size_t c = 0; c < d; ++c) {
-      grad_w[c] = grad_w[c] / total_weight + options.l2 * w[c];
+      grad_w[c] = grad_w[c] / total_weight + kL2 * w[c];
       max_abs = std::max(max_abs, std::fabs(grad_w[c]));
     }
     grad_b /= total_weight;
-    for (size_t c = 0; c < d; ++c) w[c] -= options.learning_rate * grad_w[c];
-    b -= options.learning_rate * grad_b;
+    for (size_t c = 0; c < d; ++c) w[c] -= kLearningRate * grad_w[c];
+    b -= kLearningRate * grad_b;
     if (max_abs < options.tolerance) break;
   }
 

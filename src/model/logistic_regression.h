@@ -14,8 +14,6 @@ namespace xfair {
 /// Training options for LogisticRegression.
 struct LogisticRegressionOptions {
   size_t max_iters = 500;
-  double learning_rate = 0.5;
-  double l2 = 1e-3;
   /// Stop when the gradient's infinity norm falls below this.
   double tolerance = 1e-6;
 };

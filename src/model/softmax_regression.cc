@@ -9,11 +9,18 @@
 #include "src/util/parallel.h"
 
 namespace xfair {
+namespace {
+
+/// Full-batch gradient descent: iterations, step size and L2 weight.
+constexpr size_t kMaxIters = 400;
+constexpr double kLearningRate = 0.5;
+constexpr double kL2 = 1e-3;
+
+}  // namespace
 
 Status SoftmaxRegression::Fit(const Matrix& x,
                               const std::vector<int>& labels,
-                              size_t num_classes,
-                              const SoftmaxRegressionOptions& options) {
+                              size_t num_classes) {
   XFAIR_SPAN("model/fit/softmax_regression");
   const size_t n = x.rows();
   const size_t d = x.cols();
@@ -57,7 +64,7 @@ Status SoftmaxRegression::Fit(const Matrix& x,
   Matrix w(num_classes, d);
   Vector b(num_classes, 0.0);
   Vector probs(num_classes);
-  for (size_t iter = 0; iter < options.max_iters; ++iter) {
+  for (size_t iter = 0; iter < kMaxIters; ++iter) {
     Matrix grad_w(num_classes, d);
     Vector grad_b(num_classes, 0.0);
     for (size_t i = 0; i < n; ++i) {
@@ -77,10 +84,10 @@ Status SoftmaxRegression::Fit(const Matrix& x,
       double* wk = w.RowPtr(k);
       for (size_t c = 0; c < d; ++c) {
         const double g =
-            gw[c] / static_cast<double>(n) + options.l2 * wk[c];
-        wk[c] -= options.learning_rate * g;
+            gw[c] / static_cast<double>(n) + kL2 * wk[c];
+        wk[c] -= kLearningRate * g;
       }
-      b[k] -= options.learning_rate * grad_b[k] / static_cast<double>(n);
+      b[k] -= kLearningRate * grad_b[k] / static_cast<double>(n);
     }
   }
 

@@ -15,20 +15,13 @@
 
 namespace xfair {
 
-/// Options for SoftmaxRegression::Fit.
-struct SoftmaxRegressionOptions {
-  size_t max_iters = 400;
-  double learning_rate = 0.5;
-  double l2 = 1e-3;
-};
-
 /// K-class linear classifier: P(y=k|x) = softmax(W x + b)_k.
 class SoftmaxRegression {
  public:
   /// Fits on rows of `x` with labels in [0, num_classes). Labels must
   /// cover a contiguous range; groups are not used in training.
   Status Fit(const Matrix& x, const std::vector<int>& labels,
-             size_t num_classes, const SoftmaxRegressionOptions& options = {});
+             size_t num_classes);
 
   bool fitted() const { return fitted_; }
   size_t num_classes() const { return num_classes_; }

@@ -37,6 +37,20 @@ double CusumState::Update(double x, double k, double h) {
 
 namespace {
 
+/// Detectors re-evaluate the windowed gaps every kDetectorStride events.
+/// Overlapping windows make per-event gap series strongly autocorrelated;
+/// a stride of window/8 (at the default 512-event window) keeps detection
+/// latency well under one window while damping noise accumulation.
+constexpr size_t kDetectorStride = 64;
+/// Probability bins of the windowed per-group ECE (offline default).
+constexpr size_t kCalibrationBins = 10;
+/// Page-Hinkley magnitude tolerance and alarm threshold.
+constexpr double kPhDelta = 0.02;
+constexpr double kPhLambda = 0.35;
+/// CUSUM slack and alarm threshold.
+constexpr double kCusumK = 0.03;
+constexpr double kCusumH = 0.25;
+
 std::atomic<bool> g_monitoring_enabled{[] {
   const char* env = std::getenv("XFAIR_MONITOR");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
@@ -69,8 +83,6 @@ void SetMonitoringEnabled(bool enabled) {
 FairnessMonitor::FairnessMonitor(std::string name, MonitorOptions options)
     : name_(std::move(name)), options_(options) {
   if (options_.window == 0) options_.window = 1;
-  if (options_.detector_stride == 0) options_.detector_stride = 1;
-  if (options_.calibration_bins == 0) options_.calibration_bins = 1;
   ring_.resize(options_.window);
   detectors_[0].metric = "demographic_parity";
   detectors_[1].metric = "equalized_odds";
@@ -132,10 +144,10 @@ void FairnessMonitor::Process(const MonitorEvent& event) {
   agg.score_m2 += d1 * (event.score - agg.score_mean);
 
   ++events_processed_;
-  const uint64_t warmup =
-      options_.warmup == 0 ? options_.window : options_.warmup;
-  if (events_processed_ >= warmup &&
-      events_processed_ % options_.detector_stride == 0) {
+  // Detectors start scoring once one full window has arrived: the
+  // windowed gaps are meaningless before the ring fills.
+  if (events_processed_ >= options_.window &&
+      events_processed_ % kDetectorStride == 0) {
     UpdateDetectors(event.seq);
   }
 }
@@ -147,15 +159,12 @@ void FairnessMonitor::UpdateDetectors(uint64_t seq) {
   const size_t first_new = alarms_.size();
   for (size_t i = 0; i < detectors_.size(); ++i) {
     Detector& d = detectors_[i];
-    const double ph =
-        d.page_hinkley.Update(values[i], options_.ph_delta,
-                              options_.ph_lambda);
+    const double ph = d.page_hinkley.Update(values[i], kPhDelta, kPhLambda);
     if (ph > 0.0) {
       alarms_.push_back({d.metric, "page_hinkley", seq, values[i], ph});
       d.page_hinkley = {};
     }
-    const double cs =
-        d.cusum.Update(values[i], options_.cusum_k, options_.cusum_h);
+    const double cs = d.cusum.Update(values[i], kCusumK, kCusumH);
     if (cs > 0.0) {
       alarms_.push_back({d.metric, "cusum", seq, values[i], cs});
       d.cusum = {};
@@ -206,9 +215,8 @@ WindowedMetrics FairnessMonitor::Windowed() const {
   // Groups 0/1 are the offline comparison. Counted in seq order, the
   // window's counts derive their gaps through the same function as the
   // offline fairness/group_metrics report on the same rows.
-  std::array<GroupCounts, 2> counts = {
-      GroupCounts(options_.calibration_bins),
-      GroupCounts(options_.calibration_bins)};
+  std::array<GroupCounts, 2> counts = {GroupCounts(kCalibrationBins),
+                                       GroupCounts(kCalibrationBins)};
   const size_t window = options_.window, size = ring_size_;
   const MonitorEvent* ring = ring_.data();
   size_t labeled = 0;

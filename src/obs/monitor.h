@@ -76,26 +76,10 @@ struct MonitorEvent {
   int group = 0;       ///< Protected-group id (0 = G-, 1 = G+).
 };
 
-/// Tuning knobs for the window and the drift detectors.
+/// Options for FairnessMonitor.
 struct MonitorOptions {
   /// Sliding-window capacity in events.
   size_t window = 512;
-  /// Events before detectors start scoring gaps; 0 means "one full
-  /// window" (the windowed gaps are meaningless before the ring fills).
-  size_t warmup = 0;
-  /// Detectors re-evaluate the windowed gaps every `detector_stride`
-  /// events. Overlapping windows make per-event gap series strongly
-  /// autocorrelated; a stride of window/8 keeps detection latency well
-  /// under one window while damping noise accumulation.
-  size_t detector_stride = 64;
-  /// Probability bins of the windowed per-group ECE (offline default).
-  size_t calibration_bins = 10;
-  /// Page-Hinkley magnitude tolerance and alarm threshold.
-  double ph_delta = 0.02;
-  double ph_lambda = 0.35;
-  /// CUSUM slack and alarm threshold.
-  double cusum_k = 0.03;
-  double cusum_h = 0.25;
 };
 
 /// Cumulative (whole-stream) per-group aggregate.

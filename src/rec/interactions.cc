@@ -45,6 +45,13 @@ const std::vector<size_t>& Interactions::UsersOf(size_t item) const {
   return by_item_[item];
 }
 
+namespace {
+
+/// Interactions per user.
+constexpr size_t kInteractionsPerUser = 8;
+
+}  // namespace
+
 RecWorld GenerateRecWorld(const RecGenConfig& config, uint64_t seed) {
   XFAIR_CHECK(config.num_users > 0 && config.num_items > 1);
   Rng rng(seed);
@@ -67,7 +74,7 @@ RecWorld GenerateRecWorld(const RecGenConfig& config, uint64_t seed) {
   for (size_t u = 0; u < config.num_users; ++u) {
     world.user_groups[u] =
         rng.Bernoulli(config.protected_user_fraction) ? 1 : 0;
-    size_t budget = config.interactions_per_user;
+    size_t budget = kInteractionsPerUser;
     if (world.user_groups[u] == 1) {
       budget = std::max<size_t>(
           1, static_cast<size_t>(config.protected_user_activity *

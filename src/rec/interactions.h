@@ -53,8 +53,6 @@ struct RecGenConfig {
   double protected_item_fraction = 0.4;
   /// Fraction of users in the protected group (consumer side).
   double protected_user_fraction = 0.5;
-  /// Interactions per user.
-  size_t interactions_per_user = 8;
   /// Popularity skew: protected items' base attractiveness multiplier in
   /// (0, 1]; 1 = no item-side bias.
   double protected_item_popularity = 0.4;

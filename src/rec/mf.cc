@@ -6,6 +6,16 @@
 #include "src/util/kernels.h"
 
 namespace xfair {
+namespace {
+
+/// SGD epochs over the positives, step size and L2 weight.
+constexpr size_t kEpochs = 30;
+constexpr double kLearningRate = 0.05;
+constexpr double kL2 = 0.01;
+/// Negative items sampled per positive.
+constexpr size_t kNegativesPerPositive = 3;
+
+}  // namespace
 
 Status MatrixFactorization::Fit(const Interactions& interactions,
                                 const MfOptions& options) {
@@ -35,16 +45,15 @@ Status MatrixFactorization::Fit(const Interactions& interactions,
     double* qi = items_.RowPtr(i);
     const double z = kernels::Dot(pu, qi, rank_);
     const double err = kernels::Sigmoid(z) - label;
-    kernels::SgdPairUpdate(pu, qi, options.learning_rate, err, options.l2,
-                           rank_);
+    kernels::SgdPairUpdate(pu, qi, kLearningRate, err, kL2, rank_);
   };
 
   std::vector<std::pair<size_t, size_t>> positives = interactions.pairs();
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
     rng.Shuffle(&positives);
     for (const auto& [u, i] : positives) {
       update(u, i, 1.0);
-      for (size_t neg = 0; neg < options.negatives_per_positive; ++neg) {
+      for (size_t neg = 0; neg < kNegativesPerPositive; ++neg) {
         const size_t j = rng.Below(ni);
         if (!interactions.Has(u, j)) update(u, j, 0.0);
       }

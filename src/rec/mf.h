@@ -14,10 +14,6 @@ namespace xfair {
 /// Options for MatrixFactorization::Fit.
 struct MfOptions {
   size_t rank = 8;
-  size_t epochs = 30;
-  double learning_rate = 0.05;
-  double l2 = 0.01;
-  size_t negatives_per_positive = 3;
   uint64_t seed = 5;
 };
 

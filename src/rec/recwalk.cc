@@ -6,13 +6,18 @@
 #include "src/util/check.h"
 
 namespace xfair {
+namespace {
 
-RecWalkScorer::RecWalkScorer(const Interactions* interactions,
-                             RecWalkOptions options)
-    : interactions_(interactions), options_(options) {
+/// Probability of jumping back to the user at each step.
+constexpr double kRestartProbability = 0.15;
+/// Power-iteration steps of the walk.
+constexpr size_t kPowerIterations = 30;
+
+}  // namespace
+
+RecWalkScorer::RecWalkScorer(const Interactions* interactions)
+    : interactions_(interactions) {
   XFAIR_CHECK(interactions != nullptr);
-  XFAIR_CHECK(options_.restart_probability > 0.0 &&
-              options_.restart_probability < 1.0);
 }
 
 Vector RecWalkScorer::ScoreItems(size_t user) const {
@@ -22,8 +27,8 @@ Vector RecWalkScorer::ScoreItems(size_t user) const {
   // State vector: users [0, nu), items [nu, nu + ni).
   Vector prob(nu + ni, 0.0), next(nu + ni);
   prob[user] = 1.0;
-  const double alpha = options_.restart_probability;
-  for (size_t iter = 0; iter < options_.power_iterations; ++iter) {
+  const double alpha = kRestartProbability;
+  for (size_t iter = 0; iter < kPowerIterations; ++iter) {
     std::fill(next.begin(), next.end(), 0.0);
     next[user] += alpha;  // Restart mass.
     for (size_t u = 0; u < nu; ++u) {

@@ -11,18 +11,11 @@
 
 namespace xfair {
 
-/// Options for RecWalkScorer.
-struct RecWalkOptions {
-  double restart_probability = 0.15;
-  size_t power_iterations = 30;
-};
-
 /// Personalized random walk with restart over the bipartite graph.
 class RecWalkScorer {
  public:
   /// `interactions` must outlive the scorer.
-  RecWalkScorer(const Interactions* interactions,
-                RecWalkOptions options = {});
+  explicit RecWalkScorer(const Interactions* interactions);
 
   /// Item scores for one user: the stationary item-visit distribution of
   /// the restart walk. Items the user already consumed keep their score
@@ -34,7 +27,6 @@ class RecWalkScorer {
 
  private:
   const Interactions* interactions_;
-  RecWalkOptions options_;
 };
 
 /// Exposure share of protected items across all users' top-k lists (mean

@@ -72,7 +72,9 @@ double Discretizer::Representative(size_t feature, size_t bin) const {
 
 std::string Discretizer::BinLabel(const Schema& schema, size_t feature,
                                   size_t bin) const {
+  XFAIR_CHECK(feature < edges_.size());
   const Vector& edges = edges_[feature];
+  XFAIR_CHECK(bin <= edges.size());
   const std::string& name = schema.feature(feature).name;
   if (edges.empty()) return name + " = any";
   if (bin == 0) return name + " <= " + FormatDouble(edges[0], 2);
@@ -98,12 +100,14 @@ bool Action::ApplicableTo(const Schema& schema, const Vector& x) const {
 }
 
 Vector Action::ApplyTo(const Vector& x) const {
+  XFAIR_CHECK(feature < x.size());
   Vector out = x;
   out[feature] = target_value;
   return out;
 }
 
 double Action::Cost(const Schema& schema, const Vector& x) const {
+  XFAIR_CHECK(feature < x.size());
   return std::fabs(target_value - x[feature]) /
          FeatureRange(schema.feature(feature));
 }
@@ -122,7 +126,10 @@ bool CompositeAction::ApplicableTo(const Schema& schema,
 
 Vector CompositeAction::ApplyTo(const Vector& x) const {
   Vector out = x;
-  for (const auto& a : actions) out[a.feature] = a.target_value;
+  for (const auto& a : actions) {
+    XFAIR_CHECK(a.feature < out.size());
+    out[a.feature] = a.target_value;
+  }
   return out;
 }
 

@@ -30,7 +30,8 @@ class Discretizer {
   size_t BinOf(size_t feature, double value) const;
   /// Representative (median-ish) value of a bin.
   double Representative(size_t feature, size_t bin) const;
-  /// Human-readable bin description, e.g. "income in [3.1, 5.2)".
+  /// Human-readable bin description, e.g. "income in (3.10, 5.20]";
+  /// `bin` must be below NumBins(feature).
   std::string BinLabel(const Schema& schema, size_t feature,
                        size_t bin) const;
   /// The conditions' bin labels joined by " AND ".

@@ -68,7 +68,7 @@ AresReport BuildRecourseSet(const Model& model, const Dataset& data,
               cand.flipped.push_back(i);
             }
           }
-          if (cand.members.size() < options.min_rule_coverage) continue;
+          if (cand.members.size() < kAresMinRuleCoverage) continue;
           if (cand.flipped.empty()) continue;
           cand.rule.coverage = cand.members.size();
           cand.rule.effectiveness =

@@ -30,11 +30,13 @@ struct RecourseRule {
   std::string description;
 };
 
+/// Affected instances every AReS rule must match.
+inline constexpr size_t kAresMinRuleCoverage = 5;
+
 /// Options for BuildRecourseSet.
 struct AresOptions {
   size_t bins = 3;
   size_t max_rules = 6;
-  size_t min_rule_coverage = 5;
 };
 
 /// The selected rule set and its summary metrics.

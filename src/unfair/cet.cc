@@ -8,6 +8,11 @@
 namespace xfair {
 namespace {
 
+/// Members each child of a split must keep.
+constexpr size_t kMinLeaf = 8;
+/// Stop splitting once the leaf's best action reaches this flip rate.
+constexpr double kTargetEffectiveness = 0.95;
+
 /// Best single-or-paired action for a member set, by effectiveness then
 /// cost.
 struct BestAction {
@@ -62,8 +67,8 @@ struct Builder {
     nodes[id].num_members = members.size();
 
     if (depth >= options.max_depth ||
-        best.effectiveness >= options.target_effectiveness ||
-        members.size() < 2 * options.min_leaf) {
+        best.effectiveness >= kTargetEffectiveness ||
+        members.size() < 2 * kMinLeaf) {
       return id;
     }
 
@@ -84,10 +89,7 @@ struct Builder {
       for (size_t i : members) {
         (data.x().At(i, f) <= threshold ? left : right).push_back(i);
       }
-      if (left.size() < options.min_leaf ||
-          right.size() < options.min_leaf) {
-        continue;
-      }
+      if (left.size() < kMinLeaf || right.size() < kMinLeaf) continue;
       const BestAction bl = FindBestAction(model, data, left, candidates);
       const BestAction br = FindBestAction(model, data, right, candidates);
       const double flips =
@@ -120,6 +122,7 @@ const CompositeAction& CetReport::ActionFor(const Vector& x) const {
   for (;;) {
     const CetNode& n = nodes[static_cast<size_t>(id)];
     if (n.feature < 0) return n.action;
+    XFAIR_CHECK(static_cast<size_t>(n.feature) < x.size());
     id = x[static_cast<size_t>(n.feature)] <= n.threshold ? n.left
                                                           : n.right;
   }

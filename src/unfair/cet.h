@@ -26,10 +26,7 @@ struct CetNode {
 /// Options for BuildCounterfactualTree.
 struct CetOptions {
   size_t max_depth = 3;
-  size_t min_leaf = 8;
   size_t bins = 4;  ///< Action-candidate discretization.
-  /// Stop splitting once the leaf's best action reaches this flip rate.
-  double target_effectiveness = 0.95;
 };
 
 /// The fitted tree plus per-group summaries.

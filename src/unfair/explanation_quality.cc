@@ -3,6 +3,13 @@
 #include "src/util/stats.h"
 
 namespace xfair {
+namespace {
+
+/// Perturbation scale (fraction of feature stddev) for the stability
+/// probe.
+constexpr double kStabilityPerturbation = 0.1;
+
+}  // namespace
 
 ExplanationQualityReport AuditExplanationQuality(
     const Model& model, const Dataset& data,
@@ -15,7 +22,7 @@ ExplanationQualityReport AuditExplanationQuality(
   Vector scales(data.num_features());
   for (size_t c = 0; c < data.num_features(); ++c) {
     const double sd = Stddev(data.x().Col(c));
-    scales[c] = (sd > 1e-12 ? sd : 1.0) * options.stability_perturbation;
+    scales[c] = (sd > 1e-12 ? sd : 1.0) * kStabilityPerturbation;
   }
 
   for (int group : {0, 1}) {
@@ -31,19 +38,19 @@ ExplanationQualityReport AuditExplanationQuality(
 
       // Fidelity + stability via local surrogates.
       const LocalSurrogate base =
-          FitLocalSurrogate(model, data, x, options.surrogate, rng);
+          FitLocalSurrogate(model, data, x, rng);
       fidelity.Add(base.fidelity);
       Vector xp = x;
       for (size_t c = 0; c < x.size(); ++c)
         xp[c] += rng->Normal(0.0, scales[c]);
       const LocalSurrogate shifted =
-          FitLocalSurrogate(model, data, xp, options.surrogate, rng);
+          FitLocalSurrogate(model, data, xp, rng);
       instability.Add(Norm2(Sub(base.coefficients, shifted.coefficients)));
 
       // Counterfactual sparsity (only defined for denied instances).
       if (model.Predict(x) == 0) {
         auto cf = GrowingSpheresCounterfactual(model, data.schema(), x,
-                                               options.cf_config, rng);
+                                               CounterfactualConfig{}, rng);
         if (cf.valid) sparsity.Add(static_cast<double>(cf.sparsity));
       }
     }

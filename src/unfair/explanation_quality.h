@@ -45,11 +45,6 @@ struct ExplanationQualityReport {
 /// Options for AuditExplanationQuality.
 struct ExplanationQualityOptions {
   size_t sample_per_group = 25;
-  /// Perturbation scale (fraction of feature stddev) for the stability
-  /// probe.
-  double stability_perturbation = 0.1;
-  LocalSurrogateOptions surrogate;
-  CounterfactualConfig cf_config;
 };
 
 /// Audits explanation quality across the protected split of `data` for

@@ -69,6 +69,9 @@ double GapFromPreds(const int* pred, const Dataset& data,
   return rate0 - rate1;
 }
 
+/// Permutations for the sampled engine when num_features > 10.
+constexpr size_t kPermutations = 60;
+
 /// Rows per coalition-tile dispatch: coalition x row blended instances are
 /// stacked until a PredictBatch call covers roughly this many rows, so the
 /// per-dispatch overhead (virtual call, thread fan-out, output vector) is
@@ -265,7 +268,7 @@ FairnessShapReport ExplainParityMask(const Model& model, const Dataset& data,
   // cache, so the baseline/full gap queries below are free hits.
   CoalitionCache cache(std::move(value), d);
   Vector contributions =
-      SampledShapley(cache.AsValue(), d, options.permutations, &rng);
+      SampledShapley(cache.AsValue(), d, kPermutations, &rng);
   std::vector<bool> none(d, false), all(d, true);
   const double baseline_gap = cache(none);
   const double full_gap = cache(all);
@@ -305,7 +308,7 @@ FairnessShapReport ExplainParityWithShapley(
   CoalitionCache cache(value, d);
   Vector contributions =
       d <= 10 ? ExactShapley(cache.AsValue(), d)
-              : SampledShapley(cache.AsValue(), d, options.permutations, &rng);
+              : SampledShapley(cache.AsValue(), d, kPermutations, &rng);
   std::vector<bool> none(d, false), all(d, true);
   const double baseline_gap = cache(none);
   const double full_gap = cache(all);

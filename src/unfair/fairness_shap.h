@@ -45,8 +45,6 @@ struct FairnessShapReport {
 /// Options for ExplainParityWithShapley.
 struct FairnessShapOptions {
   FairnessShapMode mode = FairnessShapMode::kMask;
-  /// Permutations for the sampled engine when num_features > 10.
-  size_t permutations = 60;
   /// Background rows used by the masking mode (sampled from data).
   size_t background_size = 30;
   uint64_t seed = 17;

@@ -1,44 +1,25 @@
 #include "src/unfair/globece.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "src/util/stats.h"
 
 namespace xfair {
 namespace {
 
+/// Scales tried per instance (grid 0..kMaxScale).
+constexpr size_t kScaleSteps = 50;
+constexpr double kMaxScale = 5.0;
+
 /// Applies x + scale * direction (direction lives in range-normalized
-/// space), then clamps to actionability and bounds.
+/// space), then projects onto the feasible set.
 Vector Translate(const Schema& schema, const Vector& x,
                  const Vector& direction, double scale,
                  bool respect_actionability) {
-  Vector out = x;
-  for (size_t c = 0; c < x.size(); ++c) {
-    const FeatureSpec& spec = schema.feature(c);
-    double v = x[c] + scale * direction[c] * FeatureRange(spec);
-    if (respect_actionability) {
-      switch (spec.actionability) {
-        case Actionability::kImmutable:
-          v = x[c];
-          break;
-        case Actionability::kIncreaseOnly:
-          v = std::max(v, x[c]);
-          break;
-        case Actionability::kDecreaseOnly:
-          v = std::min(v, x[c]);
-          break;
-        case Actionability::kAny:
-          break;
-      }
-    }
-    v = std::min(std::max(v, spec.lower), spec.upper);
-    if (spec.kind == FeatureKind::kBinary) v = v >= 0.5 ? 1.0 : 0.0;
-    if (spec.kind == FeatureKind::kCategorical) {
-      v = std::min(std::max(std::round(v), 0.0),
-                   static_cast<double>(spec.arity - 1));
-    }
-    out[c] = v;
-  }
+  Vector out(x.size());
+  for (size_t c = 0; c < x.size(); ++c)
+    out[c] = x[c] + scale * direction[c] * FeatureRange(schema.feature(c));
+  ProjectToFeasible(schema, x, respect_actionability, &out);
   return out;
 }
 
@@ -88,11 +69,11 @@ GlobalDirection FitForGroup(const Model& model, const Dataset& data,
   const bool act = options.cf_config.respect_actionability;
   for (size_t i : negatives) {
     const Vector x = data.instance(i);
-    for (size_t step = 1; step <= options.scale_steps; ++step) {
-      const double scale = options.max_scale * static_cast<double>(step) /
-                           static_cast<double>(options.scale_steps);
+    for (size_t step = 1; step <= kScaleSteps; ++step) {
+      const double scale = kMaxScale * static_cast<double>(step) /
+                           static_cast<double>(kScaleSteps);
       const Vector moved = Translate(schema, x, out.direction, scale, act);
-      if (model.Predict(moved) == options.cf_config.target_class) {
+      if (model.Predict(moved) == kCounterfactualTargetClass) {
         out.min_scales.push_back(scale);
         break;
       }

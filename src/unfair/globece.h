@@ -33,9 +33,6 @@ struct GlobeCeReport {
 struct GlobeCeOptions {
   /// CFs sampled to estimate the direction (per group).
   size_t direction_sample = 30;
-  /// Scales tried per instance (grid 0..max_scale).
-  size_t scale_steps = 50;
-  double max_scale = 5.0;
   CounterfactualConfig cf_config;
 };
 

@@ -31,7 +31,7 @@ Result<GopherReport> ExplainUnfairnessByPatterns(
   const size_t min_count = std::max<size_t>(
       1, static_cast<size_t>(options.min_support * static_cast<double>(n)));
   const size_t max_count = static_cast<size_t>(
-      options.max_support * static_cast<double>(n));
+      kGopherMaxSupport * static_cast<double>(n));
 
   // Vertical-bitset lattice engine (DESIGN.md §11): extents by word-wise
   // AND, supports by popcount, estimates by a masked influence sweep.

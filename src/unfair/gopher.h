@@ -37,12 +37,15 @@ struct GopherPattern {
   double interestingness = 0.0;
 };
 
+/// Largest pattern support Gopher scores, as a fraction of the training
+/// set: patterns larger than this explain nothing.
+inline constexpr double kGopherMaxSupport = 0.5;
+
 /// Options for ExplainUnfairnessByPatterns.
 struct GopherOptions {
   size_t bins = 3;
   size_t max_conditions = 2;
   double min_support = 0.02;  ///< Of the training set.
-  double max_support = 0.5;   ///< Patterns larger than this explain nothing.
   size_t top_k = 5;           ///< Patterns to verify by retraining.
   /// Skip extending subgroups whose total negative influence mass cannot
   /// beat the current top-k (an optimistic bound: any sub-slice's

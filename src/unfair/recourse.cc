@@ -5,13 +5,15 @@
 namespace xfair {
 namespace {
 
+/// Candidate deltas per variable, in units of that variable's noise std.
+constexpr double kDeltaGrid[] = {0.5, 1.0, 1.5, 2.0, 3.0};
+
 /// Candidate interventions on one node: value +/- delta * noise_std.
-std::vector<Intervention> NodeCandidates(
-    const Scm& scm, const Vector& x, size_t node,
-    const CausalRecourseOptions& options) {
+std::vector<Intervention> NodeCandidates(const Scm& scm, const Vector& x,
+                                         size_t node) {
   std::vector<Intervention> out;
   const double scale = std::max(scm.noise_std(node), 1e-6);
-  for (double d : options.delta_grid) {
+  for (double d : kDeltaGrid) {
     out.push_back({node, x[node] + d * scale});
     out.push_back({node, x[node] - d * scale});
   }
@@ -32,8 +34,7 @@ double InterventionCost(const Scm& scm, const Vector& x,
 
 RecourseAction FindCausalRecourse(const Model& model, const Scm& scm,
                                   const Vector& x,
-                                  const std::vector<size_t>& actionable_nodes,
-                                  const CausalRecourseOptions& options) {
+                                  const std::vector<size_t>& actionable_nodes) {
   RecourseAction best;
   if (model.Predict(x) == 1) {
     best.found = true;
@@ -54,19 +55,14 @@ RecourseAction FindCausalRecourse(const Model& model, const Scm& scm,
 
   // Single interventions.
   for (size_t node : actionable_nodes) {
-    for (const auto& iv : NodeCandidates(scm, x, node, options)) {
-      consider({iv});
-    }
+    for (const auto& iv : NodeCandidates(scm, x, node)) consider({iv});
   }
-  if (options.max_interventions >= 2) {
-    for (size_t a = 0; a < actionable_nodes.size(); ++a) {
-      for (size_t b = a + 1; b < actionable_nodes.size(); ++b) {
-        for (const auto& iva :
-             NodeCandidates(scm, x, actionable_nodes[a], options)) {
-          for (const auto& ivb :
-               NodeCandidates(scm, x, actionable_nodes[b], options)) {
-            consider({iva, ivb});
-          }
+  // Then pairs.
+  for (size_t a = 0; a < actionable_nodes.size(); ++a) {
+    for (size_t b = a + 1; b < actionable_nodes.size(); ++b) {
+      for (const auto& iva : NodeCandidates(scm, x, actionable_nodes[a])) {
+        for (const auto& ivb : NodeCandidates(scm, x, actionable_nodes[b])) {
+          consider({iva, ivb});
         }
       }
     }
@@ -101,7 +97,7 @@ GroupRecourseReport EvaluateGroupRecourse(const LogisticRegression& model,
 CausalRecourseFairnessReport EvaluateCausalRecourseFairness(
     const Model& model, const CausalWorld& world,
     const std::vector<size_t>& actionable_nodes, size_t num_samples,
-    uint64_t seed, const CausalRecourseOptions& options) {
+    uint64_t seed) {
   XFAIR_CHECK(num_samples > 0);
   CausalRecourseFairnessReport report;
   Rng rng(seed);
@@ -116,7 +112,7 @@ CausalRecourseFairnessReport EvaluateCausalRecourseFairness(
         world.scm.SampleDo({{world.sensitive, g}}, &rng);
     if (model.Predict(x) != 0) continue;
     const RecourseAction own =
-        FindCausalRecourse(model, world.scm, x, actionable_nodes, options);
+        FindCausalRecourse(model, world.scm, x, actionable_nodes);
     if (!own.found) continue;
     const int gi = static_cast<int>(g);
     cost_sum[gi] += own.cost;
@@ -133,8 +129,8 @@ CausalRecourseFairnessReport EvaluateCausalRecourseFairness(
       ++twin_count;
       continue;
     }
-    const RecourseAction twin_recourse = FindCausalRecourse(
-        model, world.scm, twin, actionable_nodes, options);
+    const RecourseAction twin_recourse =
+        FindCausalRecourse(model, world.scm, twin, actionable_nodes);
     if (!twin_recourse.found) continue;
     twin_diff_sum += std::fabs(own.cost - twin_recourse.cost);
     ++twin_count;

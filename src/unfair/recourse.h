@@ -24,22 +24,13 @@ struct RecourseAction {
   bool found = false;
 };
 
-/// Options for FindCausalRecourse.
-struct CausalRecourseOptions {
-  /// Candidate deltas per variable, in units of that variable's noise std.
-  std::vector<double> delta_grid = {0.5, 1.0, 1.5, 2.0, 3.0};
-  /// Search single interventions, then pairs.
-  size_t max_interventions = 2;
-};
-
 /// Searches single and paired do() interventions on `actionable_nodes`
 /// that flip `model`'s prediction on the SCM counterfactual of `x`,
-/// returning the cheapest. Interventions may move values in both
-/// directions.
+/// returning the cheapest. Each variable moves by a grid of deltas (0.5
+/// to 3 noise stds) in both directions.
 RecourseAction FindCausalRecourse(const Model& model, const Scm& scm,
                                   const Vector& x,
-                                  const std::vector<size_t>& actionable_nodes,
-                                  const CausalRecourseOptions& options);
+                                  const std::vector<size_t>& actionable_nodes);
 
 /// Group recourse in the sense of [79]: mean distance to the decision
 /// boundary over each group's negatively-predicted members.
@@ -69,7 +60,7 @@ struct CausalRecourseFairnessReport {
 CausalRecourseFairnessReport EvaluateCausalRecourseFairness(
     const Model& model, const CausalWorld& world,
     const std::vector<size_t>& actionable_nodes, size_t num_samples,
-    uint64_t seed, const CausalRecourseOptions& options = {});
+    uint64_t seed);
 
 }  // namespace xfair
 

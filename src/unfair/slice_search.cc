@@ -221,7 +221,7 @@ WorstSliceReport WorstSliceSearch(const Model& model, const Dataset& data,
           : static_cast<double>(total_hit) / static_cast<double>(total_rel);
 
   const size_t min_count = std::max<size_t>(
-      1, static_cast<size_t>(options.min_support * static_cast<double>(n)));
+      1, static_cast<size_t>(kSliceMinSupport * static_cast<double>(n)));
 
   struct Qualifying {
     Conditions conditions;

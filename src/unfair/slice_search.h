@@ -109,6 +109,10 @@ enum class SliceMetricKind {
   kFalsePositiveRate,  ///< P(yhat = 1 | slice, y = 0): higher = worse.
 };
 
+/// Minimum slice support of WorstSliceSearch, as a fraction of the
+/// dataset: the apriori frequency floor.
+inline constexpr double kSliceMinSupport = 0.02;
+
 /// Options for WorstSliceSearch.
 struct SliceSearchOptions {
   /// Dataset columns to slice over (sorted + deduped internally).
@@ -117,7 +121,6 @@ struct SliceSearchOptions {
   std::vector<size_t> columns;
   size_t bins = 3;           ///< Discretizer quantile bins per column.
   size_t max_conditions = 3; ///< Lattice depth (intersection arity).
-  double min_support = 0.02; ///< Of the dataset; apriori frequency floor.
   size_t top_k = 5;          ///< Worst slices to return.
   SliceMetricKind metric = SliceMetricKind::kSelectionRate;
 };
@@ -145,7 +148,7 @@ struct WorstSliceReport {
 /// Finds the top-k worst-off intersectional subgroups of `data` under
 /// `model` by the chosen metric, searching conjunctions of up to
 /// max_conditions discretized conditions over the chosen columns.
-/// Slices below min_support or with an empty metric denominator are
+/// Slices below kSliceMinSupport or with an empty metric denominator are
 /// skipped. Ranking is a total order (badness, then larger support,
 /// then lexicographic conditions), so results are deterministic at any
 /// thread count and identical to the looped per-row oracle in

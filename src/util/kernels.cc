@@ -373,15 +373,6 @@ void MatVecT(const double* m, size_t rows, size_t cols, const double* v,
   for (size_t r = 0; r < rows; ++r) Axpy(v[r], m + r * cols, out, cols);
 }
 
-double Sigmoid(double z) {
-  if (z >= 0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
 void SigmoidBatch(const double* __restrict z, double* __restrict out,
                   size_t n) {
   XFAIR_COUNTER_ADD("kernels/sigmoid_batch_elems", n);

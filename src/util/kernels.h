@@ -36,6 +36,7 @@
 #ifndef XFAIR_UTIL_KERNELS_H_
 #define XFAIR_UTIL_KERNELS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -93,8 +94,16 @@ void GemvBias(const double* m, size_t rows, size_t cols, const double* v,
 void MatVecT(const double* m, size_t rows, size_t cols, const double* v,
              double* out);
 
-/// Branch-stable logistic function (the library's one sigmoid).
-double Sigmoid(double z);
+/// Branch-stable logistic function (the library's one sigmoid). Defined
+/// inline so per-row scorers such as GBM's PredictProba inline it.
+inline double Sigmoid(double z) {
+  if (z >= 0) {
+    const double e = std::exp(-z);
+    return 1.0 / (1.0 + e);
+  }
+  const double e = std::exp(z);
+  return e / (1.0 + e);
+}
 
 /// out[i] = Sigmoid(z[i]). Counted ("kernels/sigmoid_batch_elems").
 void SigmoidBatch(const double* z, double* out, size_t n);

@@ -53,7 +53,7 @@ TEST(BeyondDegenerate, CefOnRankOneModelIsBounded) {
   opts.rank = 1;
   ASSERT_TRUE(mf.Fit(world.interactions, opts).ok());
   auto report = ExplainRecFairnessByFactors(mf, world.interactions,
-                                            world.item_groups, {});
+                                            world.item_groups);
   ASSERT_EQ(report.ranked_factors.size(), 1u);
   EXPECT_GE(report.ranked_factors[0].explainability, 0.0);
 }

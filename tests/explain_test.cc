@@ -189,7 +189,7 @@ TEST(Counterfactual, ForRowsStayValidAndFeasible) {
     if (!r.valid) continue;
     ++valid;
     const Vector x = data.instance(rows[k]);
-    EXPECT_EQ(model.Predict(r.counterfactual), config.target_class);
+    EXPECT_EQ(model.Predict(r.counterfactual), kCounterfactualTargetClass);
     // Immutables pinned, directional features one-way (CreditGen schema).
     EXPECT_DOUBLE_EQ(r.counterfactual[0], x[0]);
     EXPECT_DOUBLE_EQ(r.counterfactual[1], x[1]);
@@ -308,7 +308,7 @@ TEST(Surrogate, LocalRecoversLinearModelDirection) {
   auto f = CreditFixture::Make();
   Rng rng(11);
   const Vector x = f.data.instance(5);
-  auto s = FitLocalSurrogate(f.model, f.data, x, {}, &rng);
+  auto s = FitLocalSurrogate(f.model, f.data, x, &rng);
   EXPECT_GT(s.fidelity, 0.5);  // sigmoid curvature caps local-linear R^2
   // Signs of local coefficients should match the global linear model for
   // the highest-weight feature.

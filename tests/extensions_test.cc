@@ -52,7 +52,7 @@ TEST(DiverseCf, ProducesSeparatedValidCounterfactuals) {
     EXPECT_TRUE(r.valid);
     EXPECT_EQ(f.model.Predict(r.counterfactual), 1);
   }
-  EXPECT_GE(set.min_pairwise_distance, opts.min_separation);
+  EXPECT_GE(set.min_pairwise_distance, kDiverseMinSeparation);
   EXPECT_GT(set.mean_cost, 0.0);
 }
 

@@ -116,7 +116,7 @@ Result<GopherReport> ExplainUnfairnessByPatternsLooped(
   const size_t min_count = std::max<size_t>(
       1, static_cast<size_t>(options.min_support * static_cast<double>(n)));
   const size_t max_count = static_cast<size_t>(
-      options.max_support * static_cast<double>(n));
+      kGopherMaxSupport * static_cast<double>(n));
 
   std::vector<size_t> columns(d);
   std::iota(columns.begin(), columns.end(), size_t{0});
@@ -203,7 +203,7 @@ WorstSliceReport WorstSliceSearchLooped(const Model& model,
           ? 0.0
           : static_cast<double>(total_hit) / static_cast<double>(total_rel);
   const size_t min_count = std::max<size_t>(
-      1, static_cast<size_t>(options.min_support * static_cast<double>(n)));
+      1, static_cast<size_t>(kSliceMinSupport * static_cast<double>(n)));
 
   struct Qualifying {
     Conditions conditions;

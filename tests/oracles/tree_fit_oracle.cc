@@ -227,7 +227,7 @@ GbmFit FitGbmSortPerNode(const Dataset& data, const GbmOptions& options) {
     std::vector<size_t> indices = all;
     builder.Build(indices, 0);
     for (size_t i = 0; i < n; ++i) {
-      margins[i] += options.learning_rate *
+      margins[i] += kGbmLearningRate *
                     WalkNodes(builder.nodes, &GbmNode::value,
                               data.x().RowPtr(i), data.num_features());
     }

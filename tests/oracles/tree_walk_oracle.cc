@@ -21,7 +21,7 @@ double WalkProba(const GradientBoostedTrees& gbm, const double* row,
                  size_t width) {
   double margin = gbm.bias();
   for (const std::vector<GbmNode>& tree : gbm.trees()) {
-    margin += gbm.learning_rate() *
+    margin += kGbmLearningRate *
               WalkNodes(tree, &GbmNode::value, row, width);
   }
   return kernels::Sigmoid(margin);

@@ -17,6 +17,7 @@
 #include <string>
 #include <utility>
 
+#include "src/core/registry.h"
 #include "src/data/generators.h"
 #include "src/explain/counterfactual.h"
 #include "src/explain/shap.h"
@@ -1022,6 +1023,28 @@ TEST(ParallelKdTree, DuplicateTieOrderIsThreadCountInvariant) {
     for (size_t i = 0; i < 10; ++i) brute[i] = dist[i].second;
     EXPECT_EQ(kd.KNearest(pts.RowPtr(qi), 10), brute) << "query " << qi;
   }
+}
+
+TEST(ParallelRegistry, EveryRunnerIsThreadCountInvariant) {
+  // Every method as the registry runs it (bench_table1's measured
+  // column), the rec, graph and causal runners included, prints the same
+  // summary at any pool size.
+  const RunContext ctx = RunContext::Make(2024);
+  const std::vector<ApproachDescriptor>& registry = ApproachRegistry();
+  ASSERT_EQ(registry.size(), 26u);
+  using Out = std::vector<std::string>;
+  ExpectSameAcrossThreadCounts<Out>(
+      [&] {
+        Out out;
+        for (const ApproachDescriptor& a : registry)
+          out.push_back(a.runner(ctx));
+        return out;
+      },
+      [&](const Out& a, const Out& b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i)
+          EXPECT_EQ(a[i], b[i]) << registry[i].citation;
+      });
 }
 
 TEST(ParallelObs, SpansAndCountersFromWorkerThreadsAllLand) {

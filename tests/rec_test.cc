@@ -162,7 +162,7 @@ TEST(Cef, FactorsRankedByExplainability) {
   MatrixFactorization mf;
   ASSERT_TRUE(mf.Fit(world.interactions, {}).ok());
   auto report = ExplainRecFairnessByFactors(mf, world.interactions,
-                                            world.item_groups, {});
+                                            world.item_groups);
   ASSERT_EQ(report.ranked_factors.size(), mf.rank());
   for (size_t k = 1; k < report.ranked_factors.size(); ++k) {
     EXPECT_GE(report.ranked_factors[k - 1].explainability,

@@ -352,6 +352,63 @@ TEST(Cet, DepthZeroGivesSingleLeaf) {
   EXPECT_EQ(report.nodes.size(), 1u);
 }
 
+// --- action vocabulary bounds ---
+
+// Every public entry point of the action vocabulary checks its feature and
+// bin indices: a short row or an unknown bin aborts instead of being read
+// or written out of bounds.
+class ActionsDeathTest : public ::testing::Test {
+ protected:
+  // Earlier tests in the binary may have started the thread pool; a
+  // re-executed child, unlike a forked one, never inherits its locks.
+  void SetUp() override {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+};
+
+TEST_F(ActionsDeathTest, ActionApplyToRejectsShortRow) {
+  const Action action{3, 1.0};
+  EXPECT_DEATH((void)action.ApplyTo(Vector(2, 0.0)), "feature < x.size");
+}
+
+TEST_F(ActionsDeathTest, CompositeActionApplyToRejectsShortRow) {
+  const CompositeAction action{{{0, 1.0}, {3, 1.0}}};
+  EXPECT_DEATH((void)action.ApplyTo(Vector(2, 0.0)),
+               "a.feature < out.size");
+}
+
+TEST_F(ActionsDeathTest, ActionCostRejectsShortRow) {
+  const Dataset data = CreditGen().Generate(50, 3);
+  const Action action{3, 1.0};
+  EXPECT_DEATH((void)action.Cost(data.schema(), Vector(2, 0.0)),
+               "feature < x.size");
+}
+
+TEST_F(ActionsDeathTest, BinLabelRejectsUnknownFeatureAndBin) {
+  const Dataset data = CreditGen().Generate(200, 3);
+  const Discretizer disc(data, 3);
+  const size_t d = data.num_features();
+  EXPECT_DEATH((void)disc.BinLabel(data.schema(), d, 0),
+               "feature < edges_.size");
+  // A feature with inner edges: one past its last bin would read past
+  // them.
+  size_t f = 0;
+  while (f < d && disc.NumBins(f) < 3) ++f;
+  ASSERT_LT(f, d);
+  EXPECT_DEATH((void)disc.BinLabel(data.schema(), f, disc.NumBins(f)),
+               "bin <= edges.size");
+}
+
+TEST_F(ActionsDeathTest, CetActionForRejectsShortRow) {
+  CetReport report;
+  report.nodes.resize(3);
+  report.nodes[0].feature = 4;
+  report.nodes[0].left = 1;
+  report.nodes[0].right = 2;
+  EXPECT_DEATH((void)report.ActionFor(Vector(2, 0.0)),
+               "cet.cc.*< x.size");
+}
+
 // --- AReS ---
 
 TEST(Ares, SelectsRulesWithinBudget) {
@@ -363,7 +420,7 @@ TEST(Ares, SelectsRulesWithinBudget) {
   EXPECT_GT(report.num_rules, 0u);
   EXPECT_GT(report.total_recourse_rate, 0.2);
   for (const auto& rule : report.rules) {
-    EXPECT_GE(rule.coverage, opts.min_rule_coverage);
+    EXPECT_GE(rule.coverage, kAresMinRuleCoverage);
     EXPECT_GT(rule.effectiveness, 0.0);
     EXPECT_FALSE(rule.description.empty());
   }
@@ -771,7 +828,7 @@ TEST(Recourse, CausalRecourseExploitsDownstreamEffects) {
     }
   }
   ASSERT_FALSE(x.empty());
-  auto action = FindCausalRecourse(lr, world.scm, x, {*income}, {});
+  auto action = FindCausalRecourse(lr, world.scm, x, {*income});
   ASSERT_TRUE(action.found);
   EXPECT_EQ(lr.Predict(action.resulting_state), 1);
   // Savings must have moved even though only income was intervened on.
@@ -786,7 +843,7 @@ TEST(Recourse, AlreadyFavorableNeedsNoAction) {
   lr.SetParameters({0.0, 0.0, 0.0, 0.0, 0.0}, 5.0);  // Always favorable.
   Rng rng(20);
   const Vector x = world.scm.Sample(&rng);
-  auto action = FindCausalRecourse(lr, world.scm, x, {1, 2}, {});
+  auto action = FindCausalRecourse(lr, world.scm, x, {1, 2});
   EXPECT_TRUE(action.found);
   EXPECT_TRUE(action.interventions.empty());
   EXPECT_DOUBLE_EQ(action.cost, 0.0);
