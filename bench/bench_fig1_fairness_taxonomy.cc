@@ -81,7 +81,7 @@ void PrintMitigationStages() {
 
   LogisticRegression reweighed;
   XFAIR_CHECK(
-      reweighed.Fit(ctx.credit, {}, ReweighingWeights(ctx.credit)).ok());
+      reweighed.Fit(ctx.credit, ReweighingWeights(ctx.credit)).ok());
   t.AddRow({"Pre-processing", "reweighing",
             F(StatisticalParityDifference(reweighed, ctx.credit)),
             F(Accuracy(reweighed, ctx.credit))});

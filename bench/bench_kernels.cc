@@ -79,8 +79,9 @@ constexpr size_t kScorePasses = 24;
 Dataset WideDataset(size_t n, uint64_t seed, size_t dim = kWideDim) {
   std::vector<FeatureSpec> specs(dim);
   for (size_t c = 0; c < dim; ++c) {
-    specs[c].name = "f";
-    specs[c].name += std::to_string(c);
+    // Appended, not "f" + std::to_string(c): GCC 12 at -O3 flags that
+    // overload with a spurious -Wrestrict.
+    specs[c].name = std::string("f").append(std::to_string(c));
     specs[c].lower = -3.0;
     specs[c].upper = 3.0;
   }

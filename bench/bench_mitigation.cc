@@ -56,7 +56,7 @@ void PrintOnce() {
 
   LogisticRegression reweighed;
   XFAIR_CHECK(
-      reweighed.Fit(s.train, {}, ReweighingWeights(s.train)).ok());
+      reweighed.Fit(s.train, ReweighingWeights(s.train)).ok());
   AddRow(&t, "pre", "reweighing", reweighed, s.test);
 
   Dataset massaged = MassageLabels(s.train, baseline, 100);
@@ -131,7 +131,7 @@ void BM_Reweighing(benchmark::State& state) {
   for (auto _ : state) {
     LogisticRegression model;
     benchmark::DoNotOptimize(
-        model.Fit(s.train, {}, ReweighingWeights(s.train)));
+        model.Fit(s.train, ReweighingWeights(s.train)));
   }
 }
 BENCHMARK(BM_Reweighing)->Unit(benchmark::kMillisecond);

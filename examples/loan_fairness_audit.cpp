@@ -86,7 +86,7 @@ int main() {
   report_line("baseline", model);
 
   LogisticRegression reweighed;
-  if (reweighed.Fit(train, {}, ReweighingWeights(train)).ok()) {
+  if (reweighed.Fit(train, ReweighingWeights(train)).ok()) {
     report_line("pre: reweighing", reweighed);
   }
 

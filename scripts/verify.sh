@@ -5,10 +5,10 @@
 # XFAIR_DCHECK, restoring per-element Matrix bounds checks), a scalar
 # XFAIR_SIMD=OFF build of the kernel layer, an XFAIR_OBS=0 compile
 # check under -Werror (spans/counters compiled to no-ops), and a Release
-# run of the kernel, fairness-SHAP, gopher and tree-fit benches gated
-# against the committed BENCH_*.json (tree_shap, flat_tree, obs_overhead,
-# fairness_shap, gopher, tree_fit; 35% threshold, 8 ms noise floor, up to
-# three attempts). With --bench, additionally regenerates all
+# build under -Werror running the kernel, fairness-SHAP, gopher and
+# tree-fit benches gated against the committed BENCH_*.json (tree_shap,
+# flat_tree, obs_overhead, fairness_shap, gopher, tree_fit; 35%
+# threshold, 8 ms noise floor, up to three attempts). With --bench, additionally regenerates all
 # BENCH_*.json artifacts via scripts/bench.sh (Release build; slower)
 # and gates them at bench_compare.py's defaults (15%, 1 ms floor).
 set -euo pipefail
@@ -95,12 +95,13 @@ echo
 echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
 # -Werror keeps the opted-out tree warning-free: helpers whose callers
 # compile out with the macros must compile out with them. parallel_test
-# is built for that check only; it is not run here.
+# is built for that check only; it is not run here. NewtonFit.* runs the
+# logistic fit's counter and warning tests in their compiled-out form.
 cmake -B build-noobs -S . -DXFAIR_OBS=OFF -DCMAKE_CXX_FLAGS=-Werror > /dev/null
 cmake --build build-noobs -j "$(nproc)" --target xfair_tests parallel_test \
   example_monitor_stream
 ./build-noobs/tests/xfair_tests \
-  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*'
+  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*:NewtonFit.*'
 # The same example binary must run with zero monitoring output when the
 # layer is compiled out (no alarms, no summaries, no artifacts) — and
 # the alarm hook bus must never dump a diagnostic bundle.
@@ -143,8 +144,11 @@ echo "== tree_shap + flat_tree + fairness_shap + gopher + tree_fit + obs-overhea
 # top-level *_overhead_pct fields in BENCH_obs_overhead.json must stay
 # within bench_compare.py's absolute --max-overhead-pct budget (2%).
 # Each bench is filtered to one cheap benchmark: the JSON artifacts are
-# written by their PrintOnce blocks, which any benchmark triggers.
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+# written by their PrintOnce blocks, which any benchmark triggers. The
+# tree builds under -Werror, so a warning only -O3 inlining shows fails
+# here.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror > /dev/null
 cmake --build build-release -j "$(nproc)" --target bench_kernels \
   bench_fairness_shap bench_gopher bench_tree_fit
 baseline_one=build-release/bench-committed

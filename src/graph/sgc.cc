@@ -8,7 +8,9 @@ Dataset AsDataset(const Matrix& propagated, const std::vector<int>& labels,
                   const std::vector<int>& groups) {
   std::vector<FeatureSpec> specs(propagated.cols());
   for (size_t c = 0; c < specs.size(); ++c) {
-    specs[c].name = "h" + std::to_string(c);
+    // Appended, not "h" + std::to_string(c): GCC 12 at -O3 flags that
+    // overload with a spurious -Wrestrict.
+    specs[c].name = std::string("h").append(std::to_string(c));
     specs[c].lower = -1e6;
     specs[c].upper = 1e6;
   }

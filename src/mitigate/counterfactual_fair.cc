@@ -14,8 +14,7 @@ double FeatureSubsetModel::PredictProba(const Vector& x) const {
 }
 
 Result<FeatureSubsetModel> TrainCounterfactuallyFairModel(
-    const CausalWorld& world, const Dataset& data,
-    const LogisticRegressionOptions& options) {
+    const CausalWorld& world, const Dataset& data) {
   if (data.num_features() != world.scm.num_vars()) {
     return Status::InvalidArgument(
         "dataset columns must align with the world's SCM nodes");
@@ -46,7 +45,7 @@ Result<FeatureSubsetModel> TrainCounterfactuallyFairModel(
   Dataset projected(Schema(std::move(specs), -1), std::move(x),
                     data.labels(), data.groups());
   LogisticRegression inner;
-  XFAIR_RETURN_IF_ERROR(inner.Fit(projected, options));
+  XFAIR_RETURN_IF_ERROR(inner.Fit(projected));
   return FeatureSubsetModel(std::move(inner), std::move(safe));
 }
 

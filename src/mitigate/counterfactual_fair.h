@@ -34,8 +34,7 @@ class FeatureSubsetModel final : public Model {
 /// produces). Returns kFailedPrecondition if no such feature exists (every
 /// input is causally downstream of the sensitive attribute).
 Result<FeatureSubsetModel> TrainCounterfactuallyFairModel(
-    const CausalWorld& world, const Dataset& data,
-    const LogisticRegressionOptions& options = {});
+    const CausalWorld& world, const Dataset& data);
 
 }  // namespace xfair
 

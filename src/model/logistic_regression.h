@@ -1,7 +1,8 @@
-// L2-regularized logistic regression trained by full-batch gradient
-// descent. The white-box workhorse of the library: it exposes weights (for
-// white-box explainers and influence functions) and input gradients (for
-// Wachter-style counterfactual search).
+// L2-regularized logistic regression fitted by damped Newton (IRLS)
+// iterations on internally standardized features. The white-box workhorse
+// of the library: it exposes weights (for white-box explainers and
+// influence functions) and input gradients (for Wachter-style
+// counterfactual search).
 
 #ifndef XFAIR_MODEL_LOGISTIC_REGRESSION_H_
 #define XFAIR_MODEL_LOGISTIC_REGRESSION_H_
@@ -11,24 +12,25 @@
 
 namespace xfair {
 
-/// Training options for LogisticRegression.
-struct LogisticRegressionOptions {
-  size_t max_iters = 500;
-  /// Stop when the gradient's infinity norm falls below this.
-  double tolerance = 1e-6;
-};
+/// L2 weight on the standardized weights (the bias is unpenalized). The
+/// gradient-descent reference fit in tests/oracles reads it too.
+inline constexpr double kLogisticL2 = 1e-3;
 
 /// Binary logistic regression: P(y=1|x) = sigmoid(w.x + b).
 class LogisticRegression final : public GradientModel {
  public:
   LogisticRegression() = default;
 
-  /// Trains on `data`; `instance_weights` (if non-empty) must have one
-  /// weight per row and is how pre-processing mitigation (reweighing)
-  /// plugs in. Returns kInvalidArgument on shape errors.
-  Status Fit(const Dataset& data,
-             const LogisticRegressionOptions& options = {},
-             const Vector& instance_weights = {});
+  /// Minimizes the weighted mean log-loss plus kLogisticL2 / 2 * ||w||^2
+  /// over standardized features by damped Newton steps, until the
+  /// gradient's infinity norm falls below 1e-6 or an iteration cap ends
+  /// the fit (a "fit_not_converged" warning event then says so). Sums run
+  /// serially in ascending row order, so the weights are the same at any
+  /// thread count. `instance_weights` (if non-empty) must have one weight
+  /// per row and is how pre-processing mitigation (reweighing) plugs in;
+  /// zero-weight rows are skipped. Returns kInvalidArgument on shape
+  /// errors.
+  Status Fit(const Dataset& data, const Vector& instance_weights = {});
 
   double PredictProba(const Vector& x) const override;
   Vector PredictProbaBatch(const Matrix& x) const override;

@@ -143,19 +143,21 @@ KgWorld BuildKgFromRecWorld(const RecWorld& world, size_t num_attributes,
   KgWorld out;
   const Interactions& ia = world.interactions;
   out.user_entities.reserve(ia.num_users());
+  // Names are appended, not "u" + std::to_string(u): GCC 12 at -O3 flags
+  // that overload with a spurious -Wrestrict.
   for (size_t u = 0; u < ia.num_users(); ++u) {
-    out.user_entities.push_back(
-        out.kg.AddEntity(EntityType::kUser, "u" + std::to_string(u)));
+    out.user_entities.push_back(out.kg.AddEntity(
+        EntityType::kUser, std::string("u").append(std::to_string(u))));
   }
   out.item_entities.reserve(ia.num_items());
   for (size_t i = 0; i < ia.num_items(); ++i) {
-    out.item_entities.push_back(
-        out.kg.AddEntity(EntityType::kItem, "i" + std::to_string(i)));
+    out.item_entities.push_back(out.kg.AddEntity(
+        EntityType::kItem, std::string("i").append(std::to_string(i))));
   }
   std::vector<size_t> attribute_entities;
   for (size_t a = 0; a < num_attributes; ++a) {
-    attribute_entities.push_back(
-        out.kg.AddEntity(EntityType::kAttribute, "a" + std::to_string(a)));
+    attribute_entities.push_back(out.kg.AddEntity(
+        EntityType::kAttribute, std::string("a").append(std::to_string(a))));
   }
   for (const auto& [u, i] : ia.pairs()) {
     out.kg.AddTriple(out.user_entities[u], "interacted",

@@ -298,9 +298,7 @@ FairnessShapReport ExplainParityWithShapley(
     if (!any) return 0.0;  // Featureless model treats groups equally.
     Dataset sub = SelectFeatures(data, mask);
     LogisticRegression lr;
-    LogisticRegressionOptions opts;
-    opts.max_iters = 200;  // Coalition models need only rough fits.
-    if (!lr.Fit(sub, opts).ok()) return 0.0;
+    if (!lr.Fit(sub).ok()) return 0.0;
     return StatisticalParityDifference(lr, sub);
   };
   // Shared memoization: the engine's coalition evaluations land in the

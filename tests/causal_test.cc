@@ -36,7 +36,8 @@ TEST(Dag, AddEdgeIdempotent) {
 
 TEST(Dag, TopologicalOrderRespectsEdges) {
   Dag dag;
-  for (int i = 0; i < 5; ++i) dag.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i)
+    dag.AddNode(std::string("n").append(std::to_string(i)));
   ASSERT_TRUE(dag.AddEdge(3, 1).ok());
   ASSERT_TRUE(dag.AddEdge(1, 4).ok());
   ASSERT_TRUE(dag.AddEdge(0, 4).ok());
@@ -52,7 +53,8 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
 
 TEST(Dag, AllPathsEnumeratesDiamond) {
   Dag dag;
-  for (int i = 0; i < 4; ++i) dag.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i)
+    dag.AddNode(std::string("n").append(std::to_string(i)));
   // 0 -> 1 -> 3, 0 -> 2 -> 3, 0 -> 3.
   ASSERT_TRUE(dag.AddEdge(0, 1).ok());
   ASSERT_TRUE(dag.AddEdge(0, 2).ok());

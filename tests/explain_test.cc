@@ -368,14 +368,11 @@ TEST(Rules, CoverageMatchesManualCount) {
 // --- influence ---
 
 TEST(Influence, TracksLeaveOneOutRetraining) {
-  // Small dataset + tight convergence so leave-one-out retraining deltas
-  // are signal, not optimizer noise.
+  // Small dataset and converged Newton fits, so leave-one-out retraining
+  // deltas are signal, not optimizer noise.
   Dataset d = CreditGen().Generate(250, 40);
-  LogisticRegressionOptions opts;
-  opts.max_iters = 5000;
-  opts.tolerance = 1e-10;
   LogisticRegression model;
-  ASSERT_TRUE(model.Fit(d, opts).ok());
+  ASSERT_TRUE(model.Fit(d).ok());
   auto analyzer = InfluenceAnalyzer::Create(model, d);
   ASSERT_TRUE(analyzer.ok());
 
@@ -387,7 +384,7 @@ TEST(Influence, TracksLeaveOneOutRetraining) {
     for (size_t j = 0; j < d.size(); ++j)
       if (j != i) keep.push_back(j);
     LogisticRegression retrained;
-    ASSERT_TRUE(retrained.Fit(d.Subset(keep), opts).ok());
+    ASSERT_TRUE(retrained.Fit(d.Subset(keep)).ok());
     actual.push_back(retrained.PredictProba(x_test) -
                      model.PredictProba(x_test));
   }

@@ -59,7 +59,7 @@ TEST(Integration, AuditExplainMitigateReauditLoop) {
   // Mitigate (M): act on the diagnosis with all three stages; each must
   // beat the audited baseline on held-out data.
   LogisticRegression reweighed;
-  ASSERT_TRUE(reweighed.Fit(train, {}, ReweighingWeights(train)).ok());
+  ASSERT_TRUE(reweighed.Fit(train, ReweighingWeights(train)).ok());
   EXPECT_LT(std::fabs(StatisticalParityDifference(reweighed, test)),
             gap_before);
 

@@ -386,7 +386,8 @@ Dataset SmallBinaryDataset() {
     g[i] = i % 2;
   }
   std::vector<FeatureSpec> specs(d);
-  for (size_t c = 0; c < d; ++c) specs[c].name = "f" + std::to_string(c);
+  for (size_t c = 0; c < d; ++c)
+    specs[c].name = std::string("f").append(std::to_string(c));
   return Dataset(Schema(std::move(specs), -1), std::move(x), std::move(y),
                  std::move(g));
 }

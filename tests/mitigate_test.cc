@@ -55,7 +55,7 @@ TEST(Reweighing, ReducesParityGap) {
       std::fabs(StatisticalParityDifference(s.baseline, s.test));
   LogisticRegression reweighed;
   ASSERT_TRUE(
-      reweighed.Fit(s.train, {}, ReweighingWeights(s.train)).ok());
+      reweighed.Fit(s.train, ReweighingWeights(s.train)).ok());
   const double new_gap =
       std::fabs(StatisticalParityDifference(reweighed, s.test));
   EXPECT_LT(new_gap, base_gap);

@@ -51,9 +51,9 @@ TEST(LogisticRegression, RejectsEmptyAndMismatchedWeights) {
   Dataset empty(schema, Matrix(0, 1), {}, {});
   EXPECT_EQ(lr.Fit(empty).code(), StatusCode::kInvalidArgument);
   Dataset d = SeparableData(10, 2);
-  EXPECT_EQ(lr.Fit(d, {}, Vector{1.0}).code(),
+  EXPECT_EQ(lr.Fit(d, Vector{1.0}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(lr.Fit(d, {}, Vector(10, 0.0)).code(),
+  EXPECT_EQ(lr.Fit(d, Vector(10, 0.0)).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -82,7 +82,7 @@ TEST(LogisticRegression, InstanceWeightsShiftModel) {
     if (d.label(i) == 1) w[i] = 10.0;
   LogisticRegression plain, weighted;
   ASSERT_TRUE(plain.Fit(d).ok());
-  ASSERT_TRUE(weighted.Fit(d, {}, w).ok());
+  ASSERT_TRUE(weighted.Fit(d, w).ok());
   Vector x = {0.0, 0.0};
   EXPECT_GT(weighted.PredictProba(x), plain.PredictProba(x));
 }
@@ -216,7 +216,7 @@ TEST(DecisionTree, NonFiniteWeightsRejected) {
     DecisionTree tree;
     LogisticRegression lr;
     for (const Status& st :
-         {tree.Fit(d, {}, weights), lr.Fit(d, {}, weights)}) {
+         {tree.Fit(d, {}, weights), lr.Fit(d, weights)}) {
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
       EXPECT_NE(st.message().find("weight at row 23"), std::string::npos)
           << st.message();

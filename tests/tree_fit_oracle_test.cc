@@ -93,7 +93,7 @@ std::vector<std::pair<std::string, Dataset>> GeneratorData(size_t n,
 Dataset Manual(const std::vector<Vector>& rows, std::vector<int> labels) {
   std::vector<FeatureSpec> specs(rows.front().size());
   for (size_t c = 0; c < specs.size(); ++c)
-    specs[c].name = "f" + std::to_string(c);
+    specs[c].name = std::string("f").append(std::to_string(c));
   std::vector<int> groups(labels.size());
   for (size_t i = 0; i < groups.size(); ++i) groups[i] = i % 2;
   return Dataset(Schema(std::move(specs)), Matrix::FromRows(rows),

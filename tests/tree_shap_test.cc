@@ -725,7 +725,7 @@ TEST(GopherBitsetEngine, HighCardinalitySchemaStaysOnFastPath) {
   }
   std::vector<FeatureSpec> specs(2 + noise);
   for (size_t f = 0; f < specs.size(); ++f)
-    specs[f].name = "f" + std::to_string(f);
+    specs[f].name = std::string("f").append(std::to_string(f));
   const Dataset data(Schema(std::move(specs), /*sensitive_index=*/0),
                      std::move(x), std::move(labels), std::move(groups));
   LogisticRegression model;
