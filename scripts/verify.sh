@@ -96,12 +96,14 @@ echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
 # -Werror keeps the opted-out tree warning-free: helpers whose callers
 # compile out with the macros must compile out with them. parallel_test
 # is built for that check only; it is not run here. NewtonFit.* runs the
-# logistic fit's counter and warning tests in their compiled-out form.
+# logistic fit's counter and warning tests in their compiled-out form,
+# and *ShellSkipTest.* and LinearFlipRadius.* the growing-spheres
+# counter tests in theirs.
 cmake -B build-noobs -S . -DXFAIR_OBS=OFF -DCMAKE_CXX_FLAGS=-Werror > /dev/null
 cmake --build build-noobs -j "$(nproc)" --target xfair_tests parallel_test \
   example_monitor_stream
 ./build-noobs/tests/xfair_tests \
-  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*:NewtonFit.*'
+  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*:NewtonFit.*:*ShellSkipTest.*:LinearFlipRadius.*'
 # The same example binary must run with zero monitoring output when the
 # layer is compiled out (no alarms, no summaries, no artifacts) — and
 # the alarm hook bus must never dump a diagnostic bundle.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "src/model/logistic_regression.h"
 #include "src/obs/obs.h"
 #include "src/util/hash.h"
 #include "src/util/kernels.h"
@@ -13,6 +15,12 @@ namespace {
 
 /// Wachter: gradient step size.
 constexpr double kStepSize = 0.25;
+
+/// LinearFlipRadius's relative slack (DESIGN.md §5.6). It covers the
+/// rounding of kernels::Dot on a candidate, of the candidate's step and of
+/// the bound's own sums, each at most a few d * eps of the magnitudes it
+/// multiplies, with room for d up to ~10^6 features.
+constexpr double kFlipSlack = 1e-9;
 
 /// Per-feature ranges hoisted out of the per-candidate loops.
 Vector FeatureRanges(const Schema& schema) {
@@ -95,6 +103,89 @@ void ProjectToFeasible(const Schema& schema, const Vector& x,
     }
     (*candidate)[c] = v;
   }
+}
+
+double LinearFlipRadius(const LogisticRegression& model, const Schema& schema,
+                        const Vector& x, bool respect_actionability) {
+  const Vector& w = model.weights();
+  XFAIR_CHECK(x.size() == schema.num_features() && w.size() == x.size());
+  const double t = model.threshold();
+  if (!(t > 0.0 && t < 1.0)) return 0.0;
+  const double logit_t = std::log(t / (1.0 - t));
+  // Sums of the bound: discrete and continuous best gains g_c, ||a||^2 and
+  // sum |w_c| range_c over continuous c. `scale` and `cap_scale` bound
+  // |b| + sum |w_c x'_c| over candidates x' (continuous coordinates at x
+  // and in the box, respectively), the size the rounding is relative to.
+  double discrete_gain = 0.0, continuous_gain = 0.0;
+  double a2 = 0.0, continuous_scale = 0.0;
+  double scale = 1.0 + std::fabs(logit_t) + std::fabs(model.bias());
+  double cap_scale = scale;
+  for (size_t c = 0; c < x.size(); ++c) {
+    const FeatureSpec& spec = schema.feature(c);
+    const double xc = x[c];
+    if (!(xc >= spec.lower && xc <= spec.upper)) return 0.0;
+    // [lo, hi]: every value ProjectToFeasible can give coordinate c.
+    double lo = spec.lower, hi = spec.upper;
+    if (spec.kind != FeatureKind::kNumeric) {
+      hi = spec.kind == FeatureKind::kBinary
+               ? 1.0
+               : static_cast<double>(spec.arity - 1);
+      if (!(xc >= 0.0 && xc <= hi && xc == std::round(xc))) return 0.0;
+      lo = 0.0;
+    }
+    if (respect_actionability) {
+      switch (spec.actionability) {
+        case Actionability::kImmutable:
+          lo = hi = xc;
+          break;
+        case Actionability::kIncreaseOnly:
+          lo = xc;
+          break;
+        case Actionability::kDecreaseOnly:
+          hi = xc;
+          break;
+        case Actionability::kAny:
+          break;
+      }
+    }
+    if (w[c] == 0.0) continue;
+    const double gain = std::max(w[c] * (hi - xc), w[c] * (lo - xc));
+    const double reach =
+        std::fabs(w[c]) * std::max(std::fabs(lo), std::fabs(hi));
+    cap_scale += reach;
+    if (spec.kind != FeatureKind::kNumeric) {
+      discrete_gain += gain;
+      scale += reach;
+      continue;
+    }
+    // A continuous coordinate moves no further than the step, so it
+    // gains at most |w_c| range_c |s_c|, and nothing when g_c is 0.
+    const double a = std::fabs(w[c]) * FeatureRange(spec);
+    continuous_gain += gain;
+    continuous_scale += a;
+    scale += std::fabs(w[c] * xc);
+    if (gain > 0.0) a2 += a * a;
+  }
+  const double sigmoid_slack =
+      16.0 * std::numeric_limits<double>::epsilon() / std::min(t, 1.0 - t);
+  const double margin = model.Margin(x);
+  // The box cap: no feasible point reaches the threshold.
+  if (margin + discrete_gain + continuous_gain + kFlipSlack * cap_scale +
+          sigmoid_slack <
+      logit_t) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // Smallest rho with min(C, (1 + eta) rho ||a||) + eta rho sum |w_c|
+  // range_c >= need: on the line, or past C / ((1 + eta) ||a||), where only
+  // the slack still grows.
+  const double need = logit_t - sigmoid_slack - margin - discrete_gain -
+                      kFlipSlack * scale;
+  if (!(need > 0.0)) return 0.0;
+  const double line = (1.0 + kFlipSlack) * std::sqrt(a2);
+  double rho = need / (line + kFlipSlack * continuous_scale);
+  if (rho * line > continuous_gain)
+    rho = (need - continuous_gain) / (kFlipSlack * continuous_scale);
+  return rho;
 }
 
 double NormalizedDistance(const Schema& schema, const Vector& a,
@@ -191,6 +282,17 @@ CounterfactualResult GrowingSpheresCounterfactual(
   Vector dir(x.size()), cand, best;
   double radius = config.initial_radius;
   size_t iter = 0;
+  // Shells a logistic model's linear score proves empty are grown past
+  // undrawn: the shells drawn keep their radii and streams, so the result
+  // is the unskipped search's. Every other model gets radius 0.
+  const auto* linear = dynamic_cast<const LogisticRegression*>(&model);
+  const double flip_radius =
+      linear == nullptr ? 0.0
+                        : LinearFlipRadius(*linear, schema, x,
+                                           config.respect_actionability);
+  for (; iter < config.max_iterations && radius < flip_radius; ++iter)
+    radius *= config.radius_growth;
+  [[maybe_unused]] const size_t skipped = iter;
   for (; iter < config.max_iterations; ++iter) {
     double best_dist = 0.0;
     for (size_t s = 0; s < samples; ++s) {
@@ -214,13 +316,17 @@ CounterfactualResult GrowingSpheresCounterfactual(
       }
     }
     if (!best.empty()) {
-      XFAIR_COUNTER_ADD("cf/samples_evaluated", (iter + 1) * samples);
+      XFAIR_COUNTER_ADD("cf/samples_evaluated",
+                        (iter + 1 - skipped) * samples);
+      XFAIR_COUNTER_ADD("cf/shells_skipped", skipped);
       XFAIR_HISTOGRAM_OBSERVE("cf/search_iterations", iter + 1);
       return Finish(model, schema, x, std::move(best), target, iter);
     }
     radius *= config.radius_growth;
   }
-  XFAIR_COUNTER_ADD("cf/samples_evaluated", config.max_iterations * samples);
+  XFAIR_COUNTER_ADD("cf/samples_evaluated",
+                    (config.max_iterations - skipped) * samples);
+  XFAIR_COUNTER_ADD("cf/shells_skipped", skipped);
   XFAIR_HISTOGRAM_OBSERVE("cf/search_iterations", config.max_iterations);
   XFAIR_COUNTER_ADD("cf/search_failures", 1);
   return Invalid(x, iter);

@@ -6,7 +6,9 @@
 //    (f(x') - target)^2 + lambda * ||x' - x||^2 with lambda annealed until
 //    the class flips (Wachter et al. [15]).
 //  - GrowingSpheresCounterfactual: black-box; samples on spheres of
-//    growing radius until the class flips, then greedily sparsifies.
+//    growing radius until the class flips, then greedily sparsifies. On a
+//    LogisticRegression it skips, undrawn, the spheres LinearFlipRadius
+//    proves hold no flip.
 // Both respect Schema actionability (immutable features never move;
 // directional features move one way) and value bounds, so the output is a
 // *feasible* counterfactual in the sense of actionable recourse [78].
@@ -19,6 +21,8 @@
 #include "src/util/rng.h"
 
 namespace xfair {
+
+class LogisticRegression;
 
 /// Outcome of a counterfactual search.
 struct CounterfactualResult {
@@ -54,6 +58,17 @@ struct CounterfactualConfig {
 void ProjectToFeasible(const Schema& schema, const Vector& x,
                        bool respect_actionability, Vector* candidate);
 
+/// A radius below which no growing-spheres candidate around `x` flips
+/// `model` (DESIGN.md §5.6): every candidate ProjectToFeasible makes from a
+/// step of range-normalized length under it scores below the model's
+/// threshold, so it is also a lower bound on the NormalizedDistance of any
+/// feasible point that flips. Infinity when no feasible point flips at
+/// all (the box cap). 0, certifying nothing, when some x_c lies outside
+/// its bounds, a binary or categorical x_c is not a valid code, or the
+/// threshold is outside (0, 1).
+double LinearFlipRadius(const LogisticRegression& model, const Schema& schema,
+                        const Vector& x, bool respect_actionability);
+
 /// Range-normalized L2 distance: each coordinate is divided by its schema
 /// range (upper - lower, or 1 when unbounded) so "distance" is comparable
 /// across features of different units. All CounterfactualResult distances
@@ -69,7 +84,10 @@ CounterfactualResult WachterCounterfactual(const GradientModel& model,
 
 /// Black-box counterfactual via growing spheres + greedy sparsification.
 /// Each sphere sample draws from its own stream forked off one split of
-/// `rng`; the winner is the first sample at the minimum distance.
+/// `rng`; the winner is the first sample at the minimum distance. A
+/// LogisticRegression's shells below its LinearFlipRadius are skipped
+/// without drawing; the drawn shells keep their radii and streams, so the
+/// result is the one the unskipped search returns.
 CounterfactualResult GrowingSpheresCounterfactual(
     const Model& model, const Schema& schema, const Vector& x,
     const CounterfactualConfig& config, Rng* rng);
