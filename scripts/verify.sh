@@ -97,13 +97,15 @@ echo "== XFAIR_OBS=0 compile check (spans/counters/monitors as no-ops) =="
 # compile out with the macros must compile out with them. parallel_test
 # is built for that check only; it is not run here. NewtonFit.* runs the
 # logistic fit's counter and warning tests in their compiled-out form,
-# and *ShellSkipTest.* and LinearFlipRadius.* the growing-spheres
-# counter tests in theirs.
+# *ShellSkipTest.* and LinearFlipRadius.* the growing-spheres counter
+# tests in theirs, and LinearCandidateBound.* and BoxMuller.* the
+# candidate bound and the split Box-Muller, which the search's
+# compiled-out counters must not change.
 cmake -B build-noobs -S . -DXFAIR_OBS=OFF -DCMAKE_CXX_FLAGS=-Werror > /dev/null
 cmake --build build-noobs -j "$(nproc)" --target xfair_tests parallel_test \
   example_monitor_stream
 ./build-noobs/tests/xfair_tests \
-  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*:NewtonFit.*:*ShellSkipTest.*:LinearFlipRadius.*'
+  --gtest_filter='Counters.*:Tracer.*:BitIdentity.*:Monitor*:Exposition.*:Histograms.*:Recorder.*:EventLog.*:PerThreadLog.*:Json.*:NewtonFit.*:*ShellSkipTest.*:LinearFlipRadius.*:LinearCandidateBound.*:BoxMuller.*'
 # The same example binary must run with zero monitoring output when the
 # layer is compiled out (no alarms, no summaries, no artifacts) — and
 # the alarm hook bus must never dump a diagnostic bundle.

@@ -1,8 +1,11 @@
 #include "src/explain/counterfactual.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <tuple>
 
 #include "src/model/logistic_regression.h"
 #include "src/obs/obs.h"
@@ -21,6 +24,10 @@ constexpr double kStepSize = 0.25;
 /// the bound's own sums, each at most a few d * eps of the magnitudes it
 /// multiplies, with room for d up to ~10^6 features.
 constexpr double kFlipSlack = 1e-9;
+
+/// Box-Muller angles fall in one of kArcs equal arcs, 16 per quadrant, on
+/// each of which cos and sin are monotone.
+constexpr size_t kArcs = 64;
 
 /// Per-feature ranges hoisted out of the per-candidate loops.
 Vector FeatureRanges(const Schema& schema) {
@@ -105,32 +112,40 @@ void ProjectToFeasible(const Schema& schema, const Vector& x,
   }
 }
 
-double LinearFlipRadius(const LogisticRegression& model, const Schema& schema,
-                        const Vector& x, bool respect_actionability) {
+LinearCandidateBound::LinearCandidateBound(const LogisticRegression& model,
+                                           const Schema& schema,
+                                           const Vector& x,
+                                           bool respect_actionability) {
   const Vector& w = model.weights();
   XFAIR_CHECK(x.size() == schema.num_features() && w.size() == x.size());
+  const size_t d = x.size();
+  // Rounding of ||dir||'s Dot, of cos^2 + sin^2 and of this bound's sqrt.
+  norm_factor_ =
+      1.0 - 4.0 * static_cast<double>(d + 8) *
+                std::numeric_limits<double>::epsilon();
+  full_pairs_ = d / 2;
+  pair_weights_.assign(d + d % 2, 0.0);
   const double t = model.threshold();
-  if (!(t > 0.0 && t < 1.0)) return 0.0;
+  if (!(t > 0.0 && t < 1.0)) return;
   const double logit_t = std::log(t / (1.0 - t));
   // Sums of the bound: discrete and continuous best gains g_c, ||a||^2 and
-  // sum |w_c| range_c over continuous c. `scale` and `cap_scale` bound
+  // sum |w_c| range_c over continuous c. `scale_` and `cap_scale_` bound
   // |b| + sum |w_c x'_c| over candidates x' (continuous coordinates at x
   // and in the box, respectively), the size the rounding is relative to.
-  double discrete_gain = 0.0, continuous_gain = 0.0;
-  double a2 = 0.0, continuous_scale = 0.0;
-  double scale = 1.0 + std::fabs(logit_t) + std::fabs(model.bias());
-  double cap_scale = scale;
-  for (size_t c = 0; c < x.size(); ++c) {
+  double a2 = 0.0;
+  scale_ = 1.0 + std::fabs(logit_t) + std::fabs(model.bias());
+  cap_scale_ = scale_;
+  for (size_t c = 0; c < d; ++c) {
     const FeatureSpec& spec = schema.feature(c);
     const double xc = x[c];
-    if (!(xc >= spec.lower && xc <= spec.upper)) return 0.0;
+    if (!(xc >= spec.lower && xc <= spec.upper)) return;
     // [lo, hi]: every value ProjectToFeasible can give coordinate c.
     double lo = spec.lower, hi = spec.upper;
     if (spec.kind != FeatureKind::kNumeric) {
       hi = spec.kind == FeatureKind::kBinary
                ? 1.0
                : static_cast<double>(spec.arity - 1);
-      if (!(xc >= 0.0 && xc <= hi && xc == std::round(xc))) return 0.0;
+      if (!(xc >= 0.0 && xc <= hi && xc == std::round(xc))) return;
       lo = 0.0;
     }
     if (respect_actionability) {
@@ -152,40 +167,127 @@ double LinearFlipRadius(const LogisticRegression& model, const Schema& schema,
     const double gain = std::max(w[c] * (hi - xc), w[c] * (lo - xc));
     const double reach =
         std::fabs(w[c]) * std::max(std::fabs(lo), std::fabs(hi));
-    cap_scale += reach;
+    cap_scale_ += reach;
     if (spec.kind != FeatureKind::kNumeric) {
-      discrete_gain += gain;
-      scale += reach;
+      // A code changes only once its raw step reaches 1/2, less the
+      // rounding of the step and of x_c + step.
+      discrete_gain_ += gain;
+      scale_ += reach;
+      if (gain > 0.0) {
+        discrete_.push_back(
+            {c, (0.5 - kFlipSlack * (1.0 + xc)) / FeatureRange(spec), gain});
+      }
       continue;
     }
     // A continuous coordinate moves no further than the step, so it
     // gains at most |w_c| range_c |s_c|, and nothing when g_c is 0.
     const double a = std::fabs(w[c]) * FeatureRange(spec);
-    continuous_gain += gain;
-    continuous_scale += a;
-    scale += std::fabs(w[c] * xc);
-    if (gain > 0.0) a2 += a * a;
+    continuous_gain_ += gain;
+    continuous_scale_ += a;
+    scale_ += std::fabs(w[c] * xc);
+    if (gain > 0.0) {
+      a2 += a * a;
+      pair_weights_[c] = w[c] * FeatureRange(spec);
+    }
   }
-  const double sigmoid_slack =
+  std::sort(discrete_.begin(), discrete_.end(),
+            [](const DiscreteStep& a, const DiscreteStep& b) {
+              return a.radius < b.radius;
+            });
+  line_ = (1.0 + kFlipSlack) * std::sqrt(a2);
+  sigmoid_slack_ =
       16.0 * std::numeric_limits<double>::epsilon() / std::min(t, 1.0 - t);
-  const double margin = model.Margin(x);
-  // The box cap: no feasible point reaches the threshold.
-  if (margin + discrete_gain + continuous_gain + kFlipSlack * cap_scale +
-          sigmoid_slack <
-      logit_t) {
-    return std::numeric_limits<double>::infinity();
-  }
+  margin_ = model.Margin(x);
+  logit_t_ = logit_t;
+}
+
+double LinearCandidateBound::LineRadius(double need) const {
   // Smallest rho with min(C, (1 + eta) rho ||a||) + eta rho sum |w_c|
   // range_c >= need: on the line, or past C / ((1 + eta) ||a||), where only
   // the slack still grows.
-  const double need = logit_t - sigmoid_slack - margin - discrete_gain -
-                      kFlipSlack * scale;
   if (!(need > 0.0)) return 0.0;
-  const double line = (1.0 + kFlipSlack) * std::sqrt(a2);
-  double rho = need / (line + kFlipSlack * continuous_scale);
-  if (rho * line > continuous_gain)
-    rho = (need - continuous_gain) / (kFlipSlack * continuous_scale);
+  double rho = need / (line_ + kFlipSlack * continuous_scale_);
+  if (rho * line_ > continuous_gain_)
+    rho = (need - continuous_gain_) / (kFlipSlack * continuous_scale_);
   return rho;
+}
+
+double LinearCandidateBound::FlipRadius() const {
+  // The box cap: no feasible point reaches the threshold.
+  if (margin_ + discrete_gain_ + continuous_gain_ + kFlipSlack * cap_scale_ +
+          sigmoid_slack_ <
+      logit_t_) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // Piece by piece between the discrete features' rounding radii, each
+  // credited its gain from its radius on.
+  double need = logit_t_ - sigmoid_slack_ - margin_ - kFlipSlack * scale_;
+  double rho = LineRadius(need);
+  for (const DiscreteStep& step : discrete_) {
+    if (rho < step.radius) return rho;
+    need -= step.gain;
+    rho = std::max(step.radius, LineRadius(need));
+  }
+  return rho;
+}
+
+bool LinearCandidateBound::Rejects(const Rng::Polar* polar, double r) const {
+  // The step is s (range ⊙ dir), s = r / ||dir||, with dir_{2k} = rho_k
+  // cos theta_k and dir_{2k+1} = rho_k sin theta_k: each continuous c
+  // gains at most max(0, s a_c dir_c), bounded over theta_k's arc.
+  const size_t pairs = pair_weights_.size() / 2;
+  double norm2 = 0.0, line = 0.0;
+  for (size_t k = 0; k < pairs; ++k) {
+    const detail::TrigArc& arc = detail::BoxMullerArc(polar[k].u2);
+    const double a = pair_weights_[2 * k], b = pair_weights_[2 * k + 1];
+    line += polar[k].rho * (std::max({0.0, a * arc.cos_lo, a * arc.cos_hi}) +
+                            std::max({0.0, b * arc.sin_lo, b * arc.sin_hi}));
+    // An odd d's last draw gives dir only its cos, which ||dir|| may lack.
+    if (k < full_pairs_) norm2 += polar[k].rho * polar[k].rho;
+  }
+  const double s = r / (std::sqrt(norm2) * norm_factor_);
+  double discrete_gain = 0.0;
+  for (const DiscreteStep& step : discrete_) {
+    const Rng::Polar& p = polar[step.feature / 2];
+    const detail::TrigArc& arc = detail::BoxMullerArc(p.u2);
+    const double trig = step.feature % 2 == 0
+                            ? std::max(-arc.cos_lo, arc.cos_hi)
+                            : std::max(-arc.sin_lo, arc.sin_hi);
+    if (s * p.rho * trig >= step.radius) discrete_gain += step.gain;
+  }
+  return margin_ + discrete_gain +
+             std::min(continuous_gain_, (1.0 + kFlipSlack) * s * line) +
+             kFlipSlack * (scale_ + r * continuous_scale_) + sigmoid_slack_ <
+         logit_t_;
+}
+
+const detail::TrigArc& detail::BoxMullerArc(double u2) {
+  XFAIR_DCHECK(u2 >= 0.0 && u2 < 1.0);
+  // An arc's ends come from Rng::NormalPair, as a candidate's trig does,
+  // and rounding 2 pi u2 is monotone in u2: every angle of the arc lies
+  // between them. cos and sin are monotone there, but for flat tops ~1e-16
+  // wide at the quadrant boundaries, and libm is within an ulp; 4 eps
+  // covers both.
+  static const std::array<TrigArc, kArcs> arcs = [] {
+    constexpr double widen = 4.0 * std::numeric_limits<double>::epsilon();
+    std::array<TrigArc, kArcs> out;
+    for (size_t j = 0; j < kArcs; ++j) {
+      const auto [cos0, sin0] = Rng::NormalPair(
+          {1.0, static_cast<double>(j) / static_cast<double>(kArcs)});
+      const auto [cos1, sin1] = Rng::NormalPair(
+          {1.0, static_cast<double>(j + 1) / static_cast<double>(kArcs)});
+      out[j] = {std::min(cos0, cos1) - widen, std::max(cos0, cos1) + widen,
+                std::min(sin0, sin1) - widen, std::max(sin0, sin1) + widen};
+    }
+    return out;
+  }();
+  return arcs[static_cast<size_t>(u2 * static_cast<double>(kArcs))];
+}
+
+double LinearFlipRadius(const LogisticRegression& model, const Schema& schema,
+                        const Vector& x, bool respect_actionability) {
+  return LinearCandidateBound(model, schema, x, respect_actionability)
+      .FlipRadius();
 }
 
 double NormalizedDistance(const Schema& schema, const Vector& a,
@@ -279,31 +381,44 @@ CounterfactualResult GrowingSpheresCounterfactual(
   for (size_t c = 0; c < ranges.size(); ++c)
     inv_ranges[c] = 1.0 / ranges[c];
   const size_t samples = config.samples_per_sphere;
-  Vector dir(x.size()), cand, best;
+  // A direction takes ceil(d / 2) Box-Muller draws; an odd d's last sin
+  // pads `dir`.
+  std::vector<Rng::Polar> polar((x.size() + 1) / 2);
+  Vector dir(2 * polar.size()), cand, best;
   double radius = config.initial_radius;
   size_t iter = 0;
   // Shells a logistic model's linear score proves empty are grown past
-  // undrawn: the shells drawn keep their radii and streams, so the result
-  // is the unskipped search's. Every other model gets radius 0.
+  // undrawn, and candidates it proves cannot flip are drawn but never
+  // finished: the shells drawn keep their radii and streams, so the result
+  // is the unbounded search's. Every other model gets radius 0 and
+  // finishes every candidate.
   const auto* linear = dynamic_cast<const LogisticRegression*>(&model);
-  const double flip_radius =
-      linear == nullptr ? 0.0
-                        : LinearFlipRadius(*linear, schema, x,
-                                           config.respect_actionability);
+  std::optional<LinearCandidateBound> bound;
+  if (linear != nullptr)
+    bound.emplace(*linear, schema, x, config.respect_actionability);
+  const double flip_radius = bound ? bound->FlipRadius() : 0.0;
   for (; iter < config.max_iterations && radius < flip_radius; ++iter)
     radius *= config.radius_growth;
   [[maybe_unused]] const size_t skipped = iter;
+  [[maybe_unused]] size_t rejected = 0;
   for (; iter < config.max_iterations; ++iter) {
     double best_dist = 0.0;
     for (size_t s = 0; s < samples; ++s) {
       Rng sample_rng = root.Fork(iter * samples + s);
       // Random direction on the unit sphere, scaled per-feature by
-      // range: cand = x + (r / |dir|) * (range ⊙ dir).
-      cand = x;
-      for (size_t c = 0; c < dir.size(); ++c) dir[c] = sample_rng.Normal();
-      const double norm = std::sqrt(
-          std::max(kernels::Dot(dir.data(), dir.data(), dir.size()), 1e-12));
+      // range: cand = x + (r / |dir|) * (range ⊙ dir). Every draw comes
+      // before the trig, in Normal()'s order.
+      for (Rng::Polar& p : polar) p = sample_rng.NormalPolar();
       const double r = radius * (0.7 + 0.3 * sample_rng.Uniform());
+      if (bound && bound->Rejects(polar.data(), r)) {
+        ++rejected;
+        continue;
+      }
+      for (size_t k = 0; k < polar.size(); ++k)
+        std::tie(dir[2 * k], dir[2 * k + 1]) = Rng::NormalPair(polar[k]);
+      const double norm = std::sqrt(
+          std::max(kernels::Dot(dir.data(), dir.data(), x.size()), 1e-12));
+      cand = x;
       kernels::ScaledAxpy(r / norm, ranges.data(), dir.data(), cand.data(),
                           cand.size());
       ProjectToFeasible(schema, x, config.respect_actionability, &cand);
@@ -319,6 +434,7 @@ CounterfactualResult GrowingSpheresCounterfactual(
       XFAIR_COUNTER_ADD("cf/samples_evaluated",
                         (iter + 1 - skipped) * samples);
       XFAIR_COUNTER_ADD("cf/shells_skipped", skipped);
+      XFAIR_COUNTER_ADD("cf/candidates_rejected", rejected);
       XFAIR_HISTOGRAM_OBSERVE("cf/search_iterations", iter + 1);
       return Finish(model, schema, x, std::move(best), target, iter);
     }
@@ -327,6 +443,7 @@ CounterfactualResult GrowingSpheresCounterfactual(
   XFAIR_COUNTER_ADD("cf/samples_evaluated",
                     (config.max_iterations - skipped) * samples);
   XFAIR_COUNTER_ADD("cf/shells_skipped", skipped);
+  XFAIR_COUNTER_ADD("cf/candidates_rejected", rejected);
   XFAIR_HISTOGRAM_OBSERVE("cf/search_iterations", config.max_iterations);
   XFAIR_COUNTER_ADD("cf/search_failures", 1);
   return Invalid(x, iter);

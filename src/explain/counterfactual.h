@@ -8,13 +8,17 @@
 //  - GrowingSpheresCounterfactual: black-box; samples on spheres of
 //    growing radius until the class flips, then greedily sparsifies. On a
 //    LogisticRegression it skips, undrawn, the spheres LinearFlipRadius
-//    proves hold no flip.
+//    proves hold no flip, and rejects, before their trig, the candidates
+//    LinearCandidateBound proves cannot flip.
 // Both respect Schema actionability (immutable features never move;
 // directional features move one way) and value bounds, so the output is a
 // *feasible* counterfactual in the sense of actionable recourse [78].
 
 #ifndef XFAIR_EXPLAIN_COUNTERFACTUAL_H_
 #define XFAIR_EXPLAIN_COUNTERFACTUAL_H_
+
+#include <limits>
+#include <vector>
 
 #include "src/data/schema.h"
 #include "src/model/model.h"
@@ -69,6 +73,64 @@ void ProjectToFeasible(const Schema& schema, const Vector& x,
 double LinearFlipRadius(const LogisticRegression& model, const Schema& schema,
                         const Vector& x, bool respect_actionability);
 
+/// A logistic model's margin bounded over the growing-spheres candidates
+/// around one factual (DESIGN.md §5.6), from one O(d) pass over the
+/// features: the sums both of its tests read.
+class LinearCandidateBound {
+ public:
+  LinearCandidateBound(const LogisticRegression& model, const Schema& schema,
+                       const Vector& x, bool respect_actionability);
+
+  /// LinearFlipRadius(model, schema, x, respect_actionability).
+  double FlipRadius() const;
+
+  /// True when the candidate growing spheres finishes from `polar`, the
+  /// ceil(d / 2) Box-Muller draws of its direction in draw order, and its
+  /// jittered radius `r` cannot flip the model: the search may skip its
+  /// trig, step, projection and prediction and still return its result.
+  /// False, certifying nothing, wherever LinearFlipRadius is 0 for its
+  /// fallbacks.
+  bool Rejects(const Rng::Polar* polar, double r) const;
+
+ private:
+  /// A binary or categorical feature with a positive best gain.
+  struct DiscreteStep {
+    size_t feature = 0;
+    double radius = 0.0;  ///< Range-normalized step that can round it.
+    double gain = 0.0;
+  };
+
+  /// Smallest radius whose continuous bound and slack reach `need`.
+  double LineRadius(double need) const;
+
+  /// -infinity while the bound certifies nothing: no margin is below it.
+  double logit_t_ = -std::numeric_limits<double>::infinity();
+  double margin_ = 0.0, sigmoid_slack_ = 0.0;
+  double discrete_gain_ = 0.0, continuous_gain_ = 0.0;
+  double scale_ = 0.0, cap_scale_ = 0.0, continuous_scale_ = 0.0;
+  double line_ = 0.0;         ///< (1 + eta) ||a||.
+  double norm_factor_ = 1.0;  ///< 1 - a few d eps, on ||dir||.
+  size_t full_pairs_ = 0;     ///< Draws whose sin is a feature's too.
+  /// w_c range_c for continuous c with a positive gain, else 0; padded
+  /// to an even length.
+  Vector pair_weights_;
+  std::vector<DiscreteStep> discrete_;  ///< In ascending radius.
+};
+
+namespace detail {
+
+/// The ranges of cos and sin over one of the 64 equal arcs, 16 per
+/// quadrant, that Box-Muller's angle 2 pi u2 falls in, widened outward
+/// past the rounding of the angle and of libm.
+struct TrigArc {
+  double cos_lo = 0.0, cos_hi = 0.0, sin_lo = 0.0, sin_hi = 0.0;
+};
+
+/// The arc of u2, in [0, 1). The table is built once.
+const TrigArc& BoxMullerArc(double u2);
+
+}  // namespace detail
+
 /// Range-normalized L2 distance: each coordinate is divided by its schema
 /// range (upper - lower, or 1 when unbounded) so "distance" is comparable
 /// across features of different units. All CounterfactualResult distances
@@ -86,8 +148,9 @@ CounterfactualResult WachterCounterfactual(const GradientModel& model,
 /// Each sphere sample draws from its own stream forked off one split of
 /// `rng`; the winner is the first sample at the minimum distance. A
 /// LogisticRegression's shells below its LinearFlipRadius are skipped
-/// without drawing; the drawn shells keep their radii and streams, so the
-/// result is the one the unskipped search returns.
+/// without drawing, and the candidates its LinearCandidateBound rejects
+/// are drawn but not finished; the drawn shells keep their radii and
+/// streams, so the result is the one the unbounded search returns.
 CounterfactualResult GrowingSpheresCounterfactual(
     const Model& model, const Schema& schema, const Vector& x,
     const CounterfactualConfig& config, Rng* rng);

@@ -65,14 +65,22 @@ double Rng::Normal() {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - Uniform();
-  double u2 = Uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
+  const auto [first, second] = NormalPair(NormalPolar());
+  cached_normal_ = second;
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return first;
+}
+
+Rng::Polar Rng::NormalPolar() {
+  // u1 in (0,1] to avoid log(0).
+  const double u1 = 1.0 - Uniform();
+  const double u2 = Uniform();
+  return {std::sqrt(-2.0 * std::log(u1)), u2};
+}
+
+std::pair<double, double> Rng::NormalPair(const Polar& polar) {
+  const double theta = 2.0 * std::numbers::pi * polar.u2;
+  return {polar.rho * std::cos(theta), polar.rho * std::sin(theta)};
 }
 
 double Rng::Normal(double mean, double stddev) {

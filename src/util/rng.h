@@ -10,6 +10,7 @@
 #define XFAIR_UTIL_RNG_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/util/check.h"
@@ -37,8 +38,23 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t IntIn(int64_t lo, int64_t hi);
 
-  /// Standard normal via Box-Muller (cached second value).
+  /// Standard normal via Box-Muller (cached second value): the first of
+  /// NormalPair(NormalPolar()), whose second it returns next.
   double Normal();
+
+  /// One Box-Muller draw before its trig: rho = sqrt(-2 log u1) and the
+  /// angle's uniform u2, with theta = 2 pi u2.
+  struct Polar {
+    double rho = 0.0;
+    double u2 = 0.0;  ///< In [0, 1).
+  };
+
+  /// Box-Muller's first half: draws u1, then u2.
+  Polar NormalPolar();
+
+  /// Box-Muller's second half: the independent standard normals
+  /// (rho cos theta, rho sin theta) of one draw. Draws nothing.
+  static std::pair<double, double> NormalPair(const Polar& polar);
 
   /// Normal with given mean and standard deviation (stddev >= 0).
   double Normal(double mean, double stddev);

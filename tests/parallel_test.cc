@@ -222,6 +222,34 @@ TEST(CoalitionCache, NeverEvaluatesTwice) {
   EXPECT_EQ(cache.evaluations(), 2u);
 }
 
+TEST(ParallelUnfair, BurdenBuildsTheArcTableOnceUnderThePool) {
+  // The binary's first growing-spheres search on a logistic model runs on
+  // 8 workers, so they race for the Box-Muller arc table its candidate
+  // bound builds once (DESIGN.md §5.6). The report must be the serial
+  // one's.
+  ThreadGuard guard;
+  BiasConfig cfg;
+  cfg.score_shift = 1.0;
+  Dataset data = CreditGen(cfg).Generate(200, 509);
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(data).ok());
+  const auto burden = [&] {
+    Rng rng(510);
+    return ComputeBurden(model, data, BurdenScope::kAllNegatives, {}, &rng);
+  };
+  SetParallelThreads(8);
+  const BurdenReport parallel = burden();
+  SetParallelThreads(1);
+  const BurdenReport serial = burden();
+  EXPECT_EQ(parallel.burden_protected, serial.burden_protected);
+  EXPECT_EQ(parallel.burden_non_protected, serial.burden_non_protected);
+  EXPECT_EQ(parallel.counterfactuals_protected,
+            serial.counterfactuals_protected);
+  EXPECT_EQ(parallel.counterfactuals_non_protected,
+            serial.counterfactuals_non_protected);
+  EXPECT_EQ(parallel.failures, serial.failures);
+}
+
 TEST(ParallelUnfair, FairnessShapIsThreadCountInvariant) {
   BiasConfig cfg;
   cfg.score_shift = 1.0;
